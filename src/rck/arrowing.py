@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .graphs import Edge, Graph, mask_has_clique
+from .graphs import Edge, Graph, complete_graph, mask_has_clique
 
 MAX_COLORS = 4
 ENUMERATION_EDGE_LIMIT = 40
 SPLIT_EDGE_THRESHOLD = 20
 DEFAULT_SPLIT_DEPTH = 2
+
+# Ramsey numbers small enough to re-prove by search.  arrows() treats a value
+# only as a hint: it certifies a supergraph of K_r after a search in the same
+# process has proved that K_r itself arrows.
+VERIFIED_RAMSEY = {(3, 3): 6, (3, 4): 9}
 
 
 class NodeLimitExceeded(Exception):
@@ -79,12 +84,7 @@ class EdgeColoring:
 
     def color_class(self, ell: int) -> Graph:
         """Spanning subgraph whose edges are exactly those of color ell."""
-        adj = [0] * self.host.n
-        for (u, v), c in zip(self.host.edges(), self.colors):
-            if c == ell:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return Graph(self.host.n, tuple(adj))
+        return Graph(self.host.n, tuple(self.class_adj(ell)))
 
     def class_size(self, ell: int) -> int:
         return sum(1 for c in self.colors if c == ell)
@@ -318,26 +318,11 @@ def _solve_decision_subproblem(args):
         return None, s.nodes, s.max_depth, True
 
 
-def arrows(
-    g: Graph,
-    spec: CliqueVector,
-    *,
-    workers: int = 1,
-    node_limit: int | None = None,
-    split_depth: int | None = None,
-    symmetry_breaking: bool = True,
-) -> ArrowVerdict:
-    """Decide whether every spec.k-edge coloring of g has a monochromatic target.
+def _default_split_depth(g: Graph) -> int:
+    return DEFAULT_SPLIT_DEPTH if g.edge_count > SPLIT_EDGE_THRESHOLD else 0
 
-    The top split_depth levels of the tree become independent subproblems
-    (default 2 when the graph has more than 20 edges, else 0); each runs to
-    completion, so verdict, witness, and statistics do not depend on the
-    worker count.  The witness is the lexicographically least color word
-    among the subproblem witnesses and is re-verified before returning.
-    """
-    t0 = time.perf_counter()
-    if split_depth is None:
-        split_depth = DEFAULT_SPLIT_DEPTH if g.edge_count > SPLIT_EDGE_THRESHOLD else 0
+
+def _search_verdict(g, spec, workers, node_limit, split_depth, symmetry_breaking, t0):
     seed = dict(symmetry_breaking_seed(g, spec)) if symmetry_breaking else {}
 
     if split_depth <= 0:
@@ -369,6 +354,85 @@ def arrows(
     if limited:
         return ArrowVerdict(None, None, stats)
     return ArrowVerdict(True, None, stats)
+
+
+# Determinate verdicts of arrows(K_r, spec) for r = VERIFIED_RAMSEY[spec.sizes],
+# keyed by (spec.sizes, effective split depth, symmetry_breaking) because the
+# node count depends on both.  Filled lazily by arrows(), never at import.
+_RAMSEY_CLIQUE_VERDICTS: dict[tuple, ArrowVerdict] = {}
+
+
+def _within_budget(verdict: ArrowVerdict, node_limit: int | None) -> bool:
+    # A search under node_limit returns this verdict whenever it fits, so a
+    # memoised result used under this test is what a fresh search would give.
+    return node_limit is None or verdict.stats.nodes <= node_limit
+
+
+def _has_clique_of_order(g: Graph, r: int) -> bool:
+    """True iff g contains K_r; only vertices of degree >= r-1 can lie in one."""
+    cand = 0
+    for v, nbrs in enumerate(g.adj):
+        if nbrs.bit_count() >= r - 1:
+            cand |= 1 << v
+    return cand.bit_count() >= r and mask_has_clique(g.adj, cand, r)
+
+
+def arrows(
+    g: Graph,
+    spec: CliqueVector,
+    *,
+    workers: int = 1,
+    node_limit: int | None = None,
+    split_depth: int | None = None,
+    symmetry_breaking: bool = True,
+) -> ArrowVerdict:
+    """Decide whether every spec.k-edge coloring of g has a monochromatic target.
+
+    The top split_depth levels of the tree become independent subproblems
+    (default 2 when the graph has more than 20 edges, else 0); each runs to
+    completion, so verdict, witness, and statistics do not depend on the
+    worker count.  The witness is the lexicographically least color word
+    among the subproblem witnesses and is re-verified before returning.
+
+    Monotonicity certificate: arrowing is preserved under supergraphs.  When
+    VERIFIED_RAMSEY holds a hint r for spec and g has more than r vertices
+    and contains K_r, the verdict for K_r is looked up in a per-process memo
+    (filled by an ordinary search under the same node_limit when empty).  If
+    that search proved K_r arrows within node_limit, g arrows, and the
+    verdict reports 0 nodes.  A direct call on K_r returns its memoised
+    verdict.  Either way the result depends only on the arguments, not on
+    what ran earlier in the process.
+    """
+    t0 = time.perf_counter()
+    if split_depth is None:
+        split_depth = _default_split_depth(g)
+    r = VERIFIED_RAMSEY.get(spec.sizes)
+    if r is not None and g.n > r and _has_clique_of_order(g, r):
+        # Read the memo directly: a stored proof over the budget must not
+        # send a bounded search over K_r again.
+        kr = complete_graph(r)
+        proof_key = (spec.sizes, _default_split_depth(kr), True)
+        proof = _RAMSEY_CLIQUE_VERDICTS.get(proof_key)
+        if proof is None:
+            proof = arrows(kr, spec, workers=workers, node_limit=node_limit)
+        if proof.arrows is True and _within_budget(proof, node_limit):
+            elapsed = time.perf_counter() - t0
+            return ArrowVerdict(True, None, SearchStats(0, 0, elapsed))
+
+    memo_key = None
+    if r is not None and g.n == r and g.is_complete():
+        memo_key = (spec.sizes, split_depth, symmetry_breaking)
+        memo = _RAMSEY_CLIQUE_VERDICTS.get(memo_key)
+        if memo is not None and _within_budget(memo, node_limit):
+            elapsed = time.perf_counter() - t0
+            return replace(memo, stats=replace(memo.stats, wall_time=elapsed))
+
+    verdict = _search_verdict(
+        g, spec, workers, node_limit, split_depth, symmetry_breaking, t0
+    )
+    if memo_key is not None and not verdict.indeterminate:
+        _RAMSEY_CLIQUE_VERDICTS[memo_key] = verdict
+    return verdict
 
 
 def extremal_critical_coloring(

@@ -313,12 +313,16 @@ def cmd_cocritical(cfg: RunConfig, out) -> int:
     return exit_code
 
 
+# _scan_graph's verdict for a complete graph, which co-criticality excludes.
+SCAN_SKIPPED = "skipped"
+
+
 def _scan_graph(args):
     g6, spec_sizes, node_limit = args
     g = parse_graph6(g6)
     spec = CliqueVector((*spec_sizes,))
     if g.is_complete():
-        return g6, None, None, 0
+        return g6, SCAN_SKIPPED, None, 0
     report = is_cocritical(g, spec, node_limit=node_limit)
     if report.is_cocritical is not True:
         return g6, report.is_cocritical, None, report.nodes
@@ -350,8 +354,8 @@ def cmd_scan(cfg: RunConfig, out) -> int:
     total_nodes = 0
     for _, verdict, info, nodes in results:
         total_nodes += nodes
-        if verdict is None and info is None and nodes == 0:
-            continue  # complete graph: skipped
+        if verdict == SCAN_SKIPPED:
+            continue
         if verdict is None:
             indeterminate += 1
         elif verdict and info:

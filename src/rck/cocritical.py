@@ -37,6 +37,7 @@ from .graphs import (
     is_complete_multipartite,
     mask_has_clique,
     CHROMATIC_MAX_VERTICES,
+    _max_clique,
 )
 
 MAXIMIZE_LAST = "maximize-last"
@@ -90,8 +91,9 @@ def is_cocritical(
     The base graph must admit a critical coloring and every single-non-edge
     extension must not.  failing_edge is the least refuting non-edge.  The
     non-edge checks run in lexicographic order and stop at the first failure;
-    with workers > 1 they run concurrently but the verdict, failing edge, and
-    node statistics are aggregated as if sequential.
+    with workers > 1 they run concurrently, stop dispatching at the first
+    failure in that order, and aggregate the verdict, failing edge, and node
+    statistics as if sequential.
     """
     if g.is_complete():
         raise ValueError("co-criticality is defined for non-complete graphs")
@@ -115,29 +117,24 @@ def is_cocritical(
         )
 
     non_edges = g.non_edges()
-    results: list[tuple[bool | None, int]] = []
+    jobs = ((add_edge(g, e), spec, node_limit) for e in non_edges)
+    pool = None
     if workers > 1 and len(non_edges) > 1:
-        jobs = [(add_edge(g, e), spec, node_limit) for e in non_edges]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_arrow_job, jobs))
-    else:
-        for e in non_edges:
-            verdict = arrows(add_edge(g, e), spec, node_limit=node_limit)
-            results.append((verdict.arrows, verdict.stats.nodes))
-            if verdict.arrows is not True:
-                break
-
+        pool = ProcessPoolExecutor(max_workers=workers)
     verdict_value: bool | None = True
     failing: Edge | None = None
-    for e, (arrowed, n_nodes) in zip(non_edges, results):
-        nodes += n_nodes
-        if arrowed is None:
-            verdict_value = None
-            break
-        if arrowed is False:
-            verdict_value = False
-            failing = e
-            break
+    try:
+        results = pool.map(_arrow_job, jobs) if pool else map(_arrow_job, jobs)
+        for e, (arrowed, n_nodes) in zip(non_edges, results):
+            nodes += n_nodes
+            if arrowed is not True:
+                verdict_value = arrowed
+                if arrowed is False:
+                    failing = e
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     return CocriticalReport(
         spec,
@@ -224,24 +221,6 @@ def max_disjoint_cliques(adj, within: int, size: int) -> int:
     return pack(0, 0, 0, 0)
 
 
-def _masked_clique_number(adj, within: int) -> int:
-    best = 0
-    cand = within
-
-    def grow(cand: int, size: int, best: int) -> int:
-        while cand:
-            if size + cand.bit_count() <= best:
-                return best
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            if size + 1 > best:
-                best = size + 1
-            best = grow(cand & adj[v], size + 1, best)
-        return best
-
-    return grow(cand, 0, best)
-
-
 def _is_color_complete(adj_ell, from_mask: int, to_mask: int) -> bool:
     for v in bits(from_mask):
         if adj_ell[v] & to_mask != to_mask:
@@ -301,7 +280,7 @@ def check_lemma_1_5(
             a_ell = neighborhoods[ell]
             ctx = {"x": x, "ell": ell}
 
-            omega = _masked_clique_number(class_adj[ell], a_ell)
+            omega = _max_clique(class_adj[ell], a_ell, 0, 0)
             holds_a = max_class_degree[ell] <= n - 2 and omega <= t - 2
             findings.append(
                 LemmaFinding(

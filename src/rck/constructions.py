@@ -6,7 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .arrowing import ArrowVerdict, CliqueVector, EdgeColoring, arrows
+from .arrowing import (
+    VERIFIED_RAMSEY,
+    ArrowVerdict,
+    CliqueVector,
+    EdgeColoring,
+    arrows,
+)
 from .graphs import (
     Graph,
     complete_graph,
@@ -16,9 +22,8 @@ from .graphs import (
     remove_edge,
 )
 
-# Ramsey numbers the search engine re-verifies on demand, and values that
-# are far beyond the search budget and only ever reported as cited.
-VERIFIED_RAMSEY = {(3, 3): 6, (3, 4): 9}
+# Ramsey values far beyond the search budget, only ever reported as cited.
+# The values the search engine re-verifies are arrowing.VERIFIED_RAMSEY.
 CITED_RAMSEY = {(3, 3, 3): 17}
 
 

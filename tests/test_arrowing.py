@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import small_graphs
 from oracles import all_critical_words, brute_arrows, brute_extremal_class_size
 from rck.arrowing import (
+    _Search,
     CliqueVector,
     EdgeColoring,
     arrows,
@@ -15,7 +20,14 @@ from rck.arrowing import (
     serialize_coloring,
     symmetry_breaking_seed,
 )
-from rck.graphs import add_edge, complete_graph, cycle_graph, empty_graph, join
+from rck.graphs import (
+    add_edge,
+    clique_number,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    join,
+)
 from rck.saturation import is_saturated
 
 S33 = CliqueVector((3, 3))
@@ -122,6 +134,76 @@ class TestArrows:
         assert first.witness == second.witness == third.witness
         assert first.stats.nodes == second.stats.nodes == third.stats.nodes
         assert first.stats.max_depth == third.stats.max_depth
+
+
+# Runs K9, HT(3,4) n=9 and HT(3,4) n=10 in the order given on the command
+# line, in a fresh interpreter, and prints each verdict with its node count.
+_ORDER_SCRIPT = """
+import json, sys
+from rck.arrowing import CliqueVector, arrows
+from rck.cocritical import is_cocritical
+from rck.constructions import hanson_toft
+from rck.graphs import complete_graph
+
+S34 = CliqueVector((3, 4))
+out = {}
+for name in sys.argv[1:]:
+    if name == "K9":
+        v = arrows(complete_graph(9), S34)
+        out[name] = [v.arrows, v.stats.nodes, v.stats.max_depth]
+    else:
+        r = is_cocritical(hanson_toft(S34, int(name[2:])), S34)
+        out[name] = [r.is_cocritical, r.nodes]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+class TestRamseyCliqueCertificate:
+    ORACLE_EDGE_LIMIT = 16  # brute force checks 2^m colorings
+
+    def test_certified_verdicts_match_plain_search_and_oracle(self, corpus):
+        checked = oracle_checked = 0
+        for n in (7, 8):
+            for g in corpus[n]:
+                if clique_number(g) < 6:
+                    continue
+                verdict = arrows(g, S33)
+                assert verdict.arrows is True and verdict.stats.nodes == 0
+                assert _Search(g, S33).decide() is None
+                if g.edge_count <= self.ORACLE_EDGE_LIMIT:
+                    assert brute_arrows(g, S33)
+                    oracle_checked += 1
+                checked += 1
+        assert (checked, oracle_checked) == (95, 5)
+
+    def test_node_limit_indeterminate_before_and_after_memo_fill(self):
+        g = join(complete_graph(6), complete_graph(1))
+        assert arrows(g, S33, node_limit=5).indeterminate
+        assert arrows(g, S33).arrows is True
+        assert arrows(complete_graph(6), S33).stats.nodes > 5
+        assert arrows(g, S33, node_limit=5).indeterminate
+
+    def test_counts_do_not_depend_on_call_order(self):
+        names = ["K9", "HT9", "HT10"]
+        orders = [names[i:] + names[:i] for i in range(len(names))]
+        results = [
+            json.loads(
+                subprocess.run(
+                    [sys.executable, "-c", _ORDER_SCRIPT, *order],
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    timeout=300,
+                ).stdout
+            )
+            for order in orders
+        ]
+        assert results[0] == results[1] == results[2]
+        assert results[0] == {
+            "HT10": [True, 4545],
+            "HT9": [True, 144819],
+            "K9": [True, 144009, 35],
+        }
 
 
 class TestSymmetryBreaking:

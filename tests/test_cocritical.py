@@ -60,8 +60,8 @@ class TestIsCocritical:
         seq = is_cocritical(k6_minus(), S33, workers=1)
         par = is_cocritical(k6_minus(), S33, workers=2)
         assert seq == par
-        # Negative verdicts too: parallel mode checks every non-edge but
-        # aggregates the report as if it had stopped at the first failure.
+        # Negative verdicts too: parallel mode stops at the first failing
+        # non-edge in lexicographic order, as sequential mode does.
         seq_false = is_cocritical(cycle_graph(5), S33, workers=1)
         par_false = is_cocritical(cycle_graph(5), S33, workers=2)
         assert seq_false == par_false
