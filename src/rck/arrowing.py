@@ -1,14 +1,16 @@
 """Exact decision procedure for clique arrowing of edge colorings.
 
 Decides whether every k-edge coloring of a graph contains a monochromatic
-K_{t_ell} in some color ell, by depth-first search over edge colorings with
-an incremental monochromatic-clique prune.  Negative verdicts carry a
-verified critical coloring as witness.
+K_{t_ell} in some color ell, by depth-first search over edge colorings that
+keeps a feasible-color mask per uncolored edge (forward checking) and
+branches on the edge with the fewest feasible colors.  Negative verdicts
+carry a verified critical coloring as witness.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import islice
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -140,12 +142,15 @@ def is_critical(g: Graph, coloring: EdgeColoring, spec: CliqueVector) -> bool:
 def symmetry_breaking_seed(
     g: Graph, spec: CliqueVector
 ) -> list[tuple[Edge, tuple[int, ...]]]:
-    """Forced color domains for the first branching edge.
+    """Root restriction of the color mask of edge edges[0].
 
-    Colors with equal clique targets are interchangeable, so the first edge
-    only needs the least color of each target group.  On complete graphs all
-    first edges are equivalent, so (0, 1) is pinned even without a color
-    restriction.  Restricted and unrestricted searches agree on the verdict.
+    Colors with equal clique targets are interchangeable, so if any
+    critical coloring exists, one gives edges[0] the least color of its
+    target group.  The restriction is applied to that edge's mask before the
+    search starts, so it is sound under any branching order, whenever the
+    edge is branched on.  On a complete graph with distinct targets the seed
+    names (0, 1) with every color, which restricts nothing.  Restricted and
+    unrestricted searches agree on the verdict.
     """
     edges = g.edges()
     if not edges:
@@ -163,15 +168,36 @@ def symmetry_breaking_seed(
     return []
 
 
+# dom[i] holds bit ell for each color ell that edge i can still take.  A
+# colored edge holds _COLORED (bit 0 names no color), so it never counts as
+# a feasible or forced edge and never wins select().  Every mask is below
+# 2 << MAX_COLORS = 32, which the trail entries (j << 5 | mask) rely on.
+_COLORED = 1
+_DOMAIN_SIZE = [d.bit_count() for d in range(2 << MAX_COLORS)]
+_DOMAIN_SIZE[_COLORED] = MAX_COLORS + 1
+_DOMAIN_COLORS = [
+    tuple(ell for ell in range(1, MAX_COLORS + 1) if d >> ell & 1)
+    for d in range(2 << MAX_COLORS)
+]
+
+
 class _Search:
-    """Mutable backtracking state shared by the decision and optimum searches."""
+    """Backtracking state shared by the decision, optimum and enumeration searches.
+
+    Every uncolored edge keeps the mask of colors that complete no
+    monochromatic target clique and that the seed allows (forward checking,
+    Haralick & Elliott 1980).  assign() removes the assigned color from the
+    masks of the edges it newly blocks and reports a wipe-out, an uncolored
+    edge left with an empty mask; unassign() restores the masks from a trail.
+    """
 
     __slots__ = (
         "n", "edges", "m", "k", "targets", "adjc", "colors", "uncolored",
-        "nodes", "max_depth", "node_limit", "seed",
+        "nodes", "max_depth", "node_limit", "dom", "eid", "hadj", "trail",
+        "marks",
     )
 
-    def __init__(self, g, spec, seed=None, node_limit=None):
+    def __init__(self, g, spec, seed=(), node_limit=None):
         self.n = g.n
         self.edges = g.edges()
         self.m = len(self.edges)
@@ -183,77 +209,124 @@ class _Search:
         self.nodes = 0
         self.max_depth = 0
         self.node_limit = node_limit
-        self.seed = dict(seed) if seed else {}
+        self.hadj = g.adj
+        self.eid = [[-1] * self.n for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            self.eid[u][v] = self.eid[v][u] = i
+        # An empty coloring completes no clique of size >= 3; only a K_2
+        # target forbids its color outright.
+        full = 0
+        for ell, t in enumerate(spec.sizes, start=1):
+            if t > 2:
+                full |= 1 << ell
+        self.dom = [full] * self.m
+        for (u, v), allowed in seed:
+            restricted = 0
+            for ell in allowed:
+                restricted |= 1 << ell
+            self.dom[self.eid[u][v]] &= restricted
+        self.trail: list[int] = []
+        self.marks: list[int] = []
 
     def select(self) -> int:
-        """Uncolored edge with the largest monochromatic common neighborhood.
+        """Uncolored edge with the fewest feasible colors, lowest index on ties.
 
-        Ties break to the lexicographically least edge.  Any monochromatic
-        clique created later must pass through some newly colored edge, so
-        the most constrained edge first keeps the tree shallow.
+        Call only while some edge is uncolored.  An edge with a single
+        feasible color is thereby colored next.  An empty mask, which only
+        the root can hold (every target 2), is chosen first and has no child.
         """
         best_i = -1
-        best_score = -1
-        adjc = self.adjc
-        colors = self.colors
-        for i, (u, v) in enumerate(self.edges):
-            if colors[i]:
-                continue
-            score = 0
-            for ell in range(1, self.k + 1):
-                a = adjc[ell]
-                s = (a[u] & a[v]).bit_count()
-                if s > score:
-                    score = s
-            if score > best_score:
-                best_score = score
+        best_size = MAX_COLORS + 1
+        for i, d in enumerate(self.dom):
+            size = _DOMAIN_SIZE[d]
+            if size < best_size:
                 best_i = i
+                best_size = size
+                if size <= 1:
+                    break
         return best_i
 
     def completes_clique(self, ell: int, u: int, v: int) -> bool:
         """Would coloring uv with ell create a K_{t_ell} in class ell?
 
-        Complete as a prune: a new monochromatic clique must contain the new
-        edge, so only the common neighborhood of its endpoints matters.
+        The from-scratch test that the masks maintain incrementally: a new
+        monochromatic clique must contain the new edge, so only the common
+        neighborhood of its endpoints matters.
         """
         a = self.adjc[ell]
-        need = self.targets[ell - 1] - 2
-        if need <= 0:
-            return True
-        common = a[u] & a[v]
-        if need == 1:
-            return common != 0
-        if need == 2:
-            m = common
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
-                if a[w] & m:
-                    return True
-            return False
-        return mask_has_clique(a, common, need)
+        return mask_has_clique(a, a[u] & a[v], self.targets[ell - 1] - 2)
 
-    def assign(self, i: int, ell: int) -> None:
+    def _block(self, ell: int, a, pairs: int, x: int, within: int, need: int) -> bool:
+        """Drop ell from each uncolored edge xy, y in pairs, that would close
+        a K_{t_ell} through the new edge uv.  within holds the vertices
+        joined in color ell to u, v and x, so the other need vertices of
+        such a clique lie in within & a[y].  True on a wipe-out."""
+        bit = 1 << ell
+        row = self.eid[x]
+        dom = self.dom
+        wiped = False
+        while pairs:
+            low = pairs & -pairs
+            y = low.bit_length() - 1
+            pairs ^= low
+            j = row[y]
+            d = dom[j]
+            if d & bit and (need <= 0 or mask_has_clique(a, within & a[y], need)):
+                self.trail.append(j << 5 | d)
+                dom[j] = d ^ bit
+                if d == bit:
+                    wiped = True
+        return wiped
+
+    def assign(self, i: int, ell: int) -> bool:
+        """Color edge i with ell and forward-check; True on a wipe-out.
+
+        Only two kinds of uncolored edge xy can gain a K_{t_ell} through the
+        new edge uv: those sharing an endpoint with it (x = u and vy already
+        in color ell, or the reverse), and for t_ell >= 4 those inside the
+        common ell-neighborhood of u and v.
+        """
         u, v = self.edges[i]
+        dom = self.dom
+        self.marks.append(len(self.trail))
+        self.trail.append(i << 5 | dom[i])
+        dom[i] = _COLORED
         self.colors[i] = ell
+        self.uncolored -= 1
         a = self.adjc[ell]
         a[u] |= 1 << v
         a[v] |= 1 << u
-        self.uncolored -= 1
+        need = self.targets[ell - 1] - 3
+        common = a[u] & a[v]
+        hadj = self.hadj
+        wiped = self._block(ell, a, a[v] & hadj[u], u, common, need)
+        wiped |= self._block(ell, a, a[u] & hadj[v], v, common, need)
+        if need >= 1:
+            rest = common
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                rest ^= low
+                pairs = rest & hadj[x]
+                if pairs:
+                    wiped |= self._block(ell, a, pairs, x, common & a[x], need - 1)
+        return wiped
 
     def unassign(self, i: int) -> None:
+        """Undo the latest assign(), which must have colored edge i."""
         ell = self.colors[i]
         u, v = self.edges[i]
         self.colors[i] = 0
+        self.uncolored += 1
         a = self.adjc[ell]
         a[u] &= ~(1 << v)
         a[v] &= ~(1 << u)
-        self.uncolored += 1
-
-    def allowed_colors(self, i: int):
-        allowed = self.seed.get(self.edges[i])
-        return allowed if allowed is not None else range(1, self.k + 1)
+        mark = self.marks.pop()
+        trail = self.trail
+        dom = self.dom
+        for e in trail[mark:]:
+            dom[e >> 5] = e & 31
+        del trail[mark:]
 
     def tick(self) -> None:
         self.nodes += 1
@@ -264,51 +337,117 @@ class _Search:
             self.max_depth = depth
 
     def decide(self) -> tuple[int, ...] | None:
-        """First critical coloring found, as a color word, or None."""
+        """First critical coloring found, as a color word, or None.
+
+        Branches on select()'s edge, colors in ascending order, and skips a
+        child whose assignment wipes out a mask.
+        """
         self.tick()
         if self.uncolored == 0:
             return tuple(self.colors)
         i = self.select()
-        u, v = self.edges[i]
-        for ell in self.allowed_colors(i):
-            if not self.completes_clique(ell, u, v):
-                self.assign(i, ell)
-                word = self.decide()
-                self.unassign(i)
-                if word is not None:
-                    return word
+        for ell in _DOMAIN_COLORS[self.dom[i]]:
+            word = None if self.assign(i, ell) else self.decide()
+            self.unassign(i)
+            if word is not None:
+                return word
         return None
 
+    def split(self, depth: int):
+        """The top depth levels of decide()'s tree, walked without ticking.
 
-def _expand_prefixes(g, spec, seed, depth):
-    """Assignment prefixes covering the top of the search tree, in DFS order.
+        Returns (prefixes, completed) in DFS order: the assignment sequence
+        of every open node at that depth, and the words colored completely
+        above it.  Replaying a prefix with assign() rebuilds the same masks,
+        so each subproblem continues exactly as decide() would.
+        """
+        prefixes: list[tuple[tuple[int, int], ...]] = []
+        completed: list[tuple[int, ...]] = []
+        path: list[tuple[int, int]] = []
 
-    Returns (prefixes, completed_words): a prefix that colored every edge is
-    already a critical coloring and is reported separately.
-    """
-    prefixes: list[list[tuple[int, int]]] = [[]]
-    completed: list[tuple[int, ...]] = []
-    for _ in range(depth):
-        nxt: list[list[tuple[int, int]]] = []
-        for prefix in prefixes:
-            s = _Search(g, spec, seed)
-            for i, ell in prefix:
-                s.assign(i, ell)
-            if s.uncolored == 0:
-                completed.append(tuple(s.colors))
-                continue
-            i = s.select()
-            u, v = s.edges[i]
-            for ell in s.allowed_colors(i):
-                if not s.completes_clique(ell, u, v):
-                    nxt.append(prefix + [(i, ell)])
-        prefixes = nxt
-    return prefixes, completed
+        def down(level: int) -> None:
+            if self.uncolored == 0:
+                completed.append(tuple(self.colors))
+                return
+            if level == depth:
+                prefixes.append(tuple(path))
+                return
+            i = self.select()
+            for ell in _DOMAIN_COLORS[self.dom[i]]:
+                if not self.assign(i, ell):
+                    path.append((i, ell))
+                    down(level + 1)
+                    path.pop()
+                self.unassign(i)
+
+        down(0)
+        return prefixes, completed
+
+    def optimum(self, color: int, maximizing: bool) -> tuple[int, ...] | None:
+        """Critical color word with the extreme number of color edges, or None.
+
+        Branch and bound over decide()'s branching.  The bound counts the
+        uncolored edges whose mask still holds color (maximizing) or holds
+        nothing else (minimizing); masks only shrink along a branch, so the
+        bound is admissible.
+        """
+        others = [c for c in range(1, self.k + 1) if c != color]
+        order = [color] + others if maximizing else others + [color]
+        # The masks that still hold color; counting each is cheaper than
+        # testing every mask for the bit.
+        holding = [d for d in range(2, 2 << self.k, 2) if d >> color & 1]
+        forced = 1 << color
+        dom = self.dom
+        best_value = -1 if maximizing else self.m + 1
+        best_word: tuple[int, ...] | None = None
+
+        def explore(count: int) -> None:
+            nonlocal best_value, best_word
+            self.tick()
+            if best_word is not None:
+                if maximizing:
+                    if count + sum(map(dom.count, holding)) <= best_value:
+                        return
+                elif count + dom.count(forced) >= best_value:
+                    return
+            if self.uncolored == 0:
+                best_value = count
+                best_word = tuple(self.colors)
+                return
+            i = self.select()
+            d = dom[i]
+            for ell in order:
+                if d >> ell & 1:
+                    if not self.assign(i, ell):
+                        explore(count + (ell == color))
+                    self.unassign(i)
+
+        explore(0)
+        return best_word
+
+    def critical_words(self):
+        """Yield every critical color word in lexicographic order.
+
+        Colors the edges in their static order and prunes only on wipe-out,
+        so the output is the lexicographic list of all critical words.
+        """
+        dom = self.dom
+
+        def gen(i: int):
+            if i == self.m:
+                yield tuple(self.colors)
+                return
+            for ell in _DOMAIN_COLORS[dom[i]]:
+                if not self.assign(i, ell):
+                    yield from gen(i + 1)
+                self.unassign(i)
+
+        yield from gen(0)
 
 
 def _solve_decision_subproblem(args):
-    g, spec, seed_items, prefix, node_limit = args
-    s = _Search(g, spec, dict(seed_items), node_limit)
+    g, spec, seed, prefix, node_limit = args
+    s = _Search(g, spec, seed, node_limit)
     for i, ell in prefix:
         s.assign(i, ell)
     try:
@@ -323,18 +462,16 @@ def _default_split_depth(g: Graph) -> int:
 
 
 def _search_verdict(g, spec, workers, node_limit, split_depth, symmetry_breaking, t0):
-    seed = dict(symmetry_breaking_seed(g, spec)) if symmetry_breaking else {}
+    seed = symmetry_breaking_seed(g, spec) if symmetry_breaking else []
 
     if split_depth <= 0:
         word, nodes, max_depth, limited = _solve_decision_subproblem(
-            (g, spec, tuple(seed.items()), (), node_limit)
+            (g, spec, seed, (), node_limit)
         )
         words = [word] if word is not None else []
     else:
-        prefixes, completed = _expand_prefixes(g, spec, seed, split_depth)
-        jobs = [
-            (g, spec, tuple(seed.items()), tuple(p), node_limit) for p in prefixes
-        ]
+        prefixes, completed = _Search(g, spec, seed).split(split_depth)
+        jobs = [(g, spec, seed, p, node_limit) for p in prefixes]
         if workers > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_solve_decision_subproblem, jobs))
@@ -377,6 +514,41 @@ def _has_clique_of_order(g: Graph, r: int) -> bool:
     return cand.bit_count() >= r and mask_has_clique(g.adj, cand, r)
 
 
+def _ramsey_clique_proof(spec, r, workers, node_limit) -> ArrowVerdict:
+    # Read the memo directly: a stored proof over the budget must not send
+    # a bounded search over K_r again.
+    kr = complete_graph(r)
+    proof = _RAMSEY_CLIQUE_VERDICTS.get((spec.sizes, _default_split_depth(kr), True))
+    if proof is None:
+        proof = arrows(kr, spec, workers=workers, node_limit=node_limit)
+    return proof
+
+
+def ramsey_clique_verdicts(
+    g: Graph,
+    spec: CliqueVector,
+    *,
+    workers: int = 1,
+    node_limit: int | None = None,
+) -> dict[tuple, ArrowVerdict]:
+    """The memoised K_r verdicts, after proving the one g's extensions need.
+
+    When some graph made from g by adding one edge can contain K_r (g has
+    more than r vertices and a K_{r-1}), K_r is proved first, as arrows()
+    would on demand.  Hand the result to install_ramsey_clique_verdicts in
+    the workers of a pool, so that no worker searches K_r again.
+    """
+    r = VERIFIED_RAMSEY.get(spec.sizes)
+    if r is not None and g.n > r and _has_clique_of_order(g, r - 1):
+        _ramsey_clique_proof(spec, r, workers, node_limit)
+    return dict(_RAMSEY_CLIQUE_VERDICTS)
+
+
+def install_ramsey_clique_verdicts(verdicts: dict[tuple, ArrowVerdict]) -> None:
+    """Pool initializer: adopt K_r verdicts proved by search in the parent."""
+    _RAMSEY_CLIQUE_VERDICTS.update(verdicts)
+
+
 def arrows(
     g: Graph,
     spec: CliqueVector,
@@ -408,13 +580,7 @@ def arrows(
         split_depth = _default_split_depth(g)
     r = VERIFIED_RAMSEY.get(spec.sizes)
     if r is not None and g.n > r and _has_clique_of_order(g, r):
-        # Read the memo directly: a stored proof over the budget must not
-        # send a bounded search over K_r again.
-        kr = complete_graph(r)
-        proof_key = (spec.sizes, _default_split_depth(kr), True)
-        proof = _RAMSEY_CLIQUE_VERDICTS.get(proof_key)
-        if proof is None:
-            proof = arrows(kr, spec, workers=workers, node_limit=node_limit)
+        proof = _ramsey_clique_proof(spec, r, workers, node_limit)
         if proof.arrows is True and _within_budget(proof, node_limit):
             elapsed = time.perf_counter() - t0
             return ArrowVerdict(True, None, SearchStats(0, 0, elapsed))
@@ -454,65 +620,8 @@ def extremal_critical_coloring(
         raise ValueError("mode must be 'max' or 'min'")
     if not 1 <= color <= spec.k:
         raise ValueError(f"objective color {color} outside 1..{spec.k}")
-    s = _Search(g, spec, None, node_limit)
-    maximizing = mode == "max"
-    if maximizing:
-        color_order = [color] + [c for c in range(1, spec.k + 1) if c != color]
-    else:
-        color_order = [c for c in range(1, spec.k + 1) if c != color] + [color]
-
-    best_value = -1 if maximizing else s.m + 1
-    best_word: tuple[int, ...] | None = None
-    edges = s.edges
-    colors = s.colors
-
-    def objective_bound(count: int) -> int:
-        # Feasibility of the objective color is monotone along a branch, so
-        # counting only currently feasible (or, minimizing, currently forced)
-        # uncolored edges is admissible.
-        total = count
-        for i, (u, v) in enumerate(edges):
-            if colors[i]:
-                continue
-            if maximizing:
-                if not s.completes_clique(color, u, v):
-                    total += 1
-            else:
-                forced = True
-                for ell in range(1, s.k + 1):
-                    if ell != color and not s.completes_clique(ell, u, v):
-                        forced = False
-                        break
-                if forced:
-                    total += 1
-        return total
-
-    def explore(count: int) -> None:
-        nonlocal best_value, best_word
-        s.tick()
-        if best_word is not None:
-            bound = objective_bound(count)
-            if maximizing and bound <= best_value:
-                return
-            if not maximizing and bound >= best_value:
-                return
-        if s.uncolored == 0:
-            if best_word is None or (count > best_value if maximizing else count < best_value):
-                best_value = count
-                best_word = tuple(colors)
-            return
-        i = s.select()
-        u, v = edges[i]
-        for ell in color_order:
-            if not s.completes_clique(ell, u, v):
-                s.assign(i, ell)
-                explore(count + (ell == color))
-                s.unassign(i)
-
-    explore(0)
-    if best_word is None:
-        return None
-    return EdgeColoring(g, best_word, spec.k)
+    word = _Search(g, spec, (), node_limit).optimum(color, mode == "max")
+    return None if word is None else EdgeColoring(g, word, spec.k)
 
 
 def enumerate_critical_colorings(g: Graph, spec: CliqueVector, limit: int | None = None):
@@ -525,25 +634,8 @@ def enumerate_critical_colorings(g: Graph, spec: CliqueVector, limit: int | None
         raise ValueError(
             f"more than {ENUMERATION_EDGE_LIMIT} edges requires an explicit limit"
         )
-    s = _Search(g, spec)
-    remaining = [limit]
-
-    def gen(i: int):
-        if remaining[0] is not None and remaining[0] <= 0:
-            return
-        if i == s.m:
-            if remaining[0] is not None:
-                remaining[0] -= 1
-            yield EdgeColoring(g, tuple(s.colors), spec.k)
-            return
-        u, v = s.edges[i]
-        for ell in range(1, s.k + 1):
-            if not s.completes_clique(ell, u, v):
-                s.assign(i, ell)
-                yield from gen(i + 1)
-                s.unassign(i)
-
-    yield from gen(0)
+    for word in islice(_Search(g, spec).critical_words(), limit):
+        yield EdgeColoring(g, word, spec.k)
 
 
 def serialize_coloring(coloring: EdgeColoring) -> str:

@@ -20,6 +20,8 @@ from .arrowing import (
     EdgeColoring,
     arrows,
     extremal_critical_coloring,
+    install_ramsey_clique_verdicts,
+    ramsey_clique_verdicts,
 )
 from .constructions import (
     hanson_toft_edge_count,
@@ -93,7 +95,9 @@ def is_cocritical(
     non-edge checks run in lexicographic order and stop at the first failure;
     with workers > 1 they run concurrently, stop dispatching at the first
     failure in that order, and aggregate the verdict, failing edge, and node
-    statistics as if sequential.
+    statistics as if sequential.  The workers start with the K_r verdicts
+    this process holds, K_r proved first when an extension can contain it,
+    so they certify such extensions without searching K_r.
     """
     if g.is_complete():
         raise ValueError("co-criticality is defined for non-complete graphs")
@@ -120,7 +124,14 @@ def is_cocritical(
     jobs = ((add_edge(g, e), spec, node_limit) for e in non_edges)
     pool = None
     if workers > 1 and len(non_edges) > 1:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        verdicts = ramsey_clique_verdicts(
+            g, spec, workers=workers, node_limit=node_limit
+        )
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=install_ramsey_clique_verdicts,
+            initargs=(verdicts,),
+        )
     verdict_value: bool | None = True
     failing: Edge | None = None
     try:

@@ -23,6 +23,7 @@ from rck.arrowing import (
 from rck.graphs import (
     add_edge,
     clique_number,
+    complement,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -33,6 +34,7 @@ from rck.saturation import is_saturated
 S33 = CliqueVector((3, 3))
 S34 = CliqueVector((3, 4))
 S23 = CliqueVector((2, 3))
+S35 = CliqueVector((3, 5))
 
 
 def c5_coloring_of_k5() -> EdgeColoring:
@@ -200,9 +202,9 @@ class TestRamseyCliqueCertificate:
         ]
         assert results[0] == results[1] == results[2]
         assert results[0] == {
-            "HT10": [True, 4545],
-            "HT9": [True, 144819],
-            "K9": [True, 144009, 35],
+            "HT10": [True, 72],
+            "HT9": [True, 94413],
+            "K9": [True, 94353, 34],
         }
 
 
@@ -231,6 +233,80 @@ class TestSymmetryBreaking:
             on = arrows(g, spec, symmetry_breaking=True)
             off = arrows(g, spec, symmetry_breaking=False)
             assert on.arrows == off.arrows
+
+
+def _search_state(s: _Search):
+    return list(s.dom), [list(a) for a in s.adjc], list(s.colors), s.uncolored
+
+
+class TestSearchCore:
+    """The feasible-color masks against a from-scratch recomputation."""
+
+    # (3,5) makes assign() recheck edges inside a common neighborhood with a
+    # clique test of its own; (3,4) with none; (3,3) not at all.
+    SPECS = (S33, S34, S35)
+
+    @staticmethod
+    def assert_masks_exact(s: _Search, seed) -> None:
+        allowed = dict(seed)
+        for i, (u, v) in enumerate(s.edges):
+            if s.colors[i]:
+                continue
+            want = 0
+            for ell in allowed.get((u, v), range(1, s.k + 1)):
+                if not s.completes_clique(ell, u, v):
+                    want |= 1 << ell
+            assert s.dom[i] == want, (i, s.colors)
+
+    # Sparse draws rarely hold the cliques that shrink masks; their
+    # complements are dense.
+    GRAPHS = st.one_of(
+        small_graphs(min_n=5, max_n=9),
+        small_graphs(min_n=5, max_n=9).map(complement),
+    )
+
+    @settings(max_examples=120, deadline=None)
+    @given(GRAPHS, st.sampled_from(SPECS), st.data())
+    def test_masks_match_recomputation_after_every_step(self, g, spec, data):
+        seed = symmetry_breaking_seed(g, spec)
+        s = _Search(g, spec, seed)
+        initial = _search_state(s)
+        self.assert_masks_exact(s, seed)
+        stack: list[int] = []
+        for _ in range(data.draw(st.integers(0, 60))):
+            open_edges = [i for i in range(s.m) if not s.colors[i] and s.dom[i]]
+            if open_edges and (not stack or data.draw(st.integers(0, 3))):
+                i = data.draw(st.sampled_from(open_edges))
+                ell = data.draw(
+                    st.sampled_from([c for c in range(1, s.k + 1) if s.dom[i] >> c & 1])
+                )
+                empty = {j for j in range(s.m) if not s.colors[j] and not s.dom[j]}
+                wiped = s.assign(i, ell)
+                stack.append(i)
+                now = {j for j in range(s.m) if not s.colors[j] and not s.dom[j]}
+                assert wiped == bool(now - empty)
+            elif stack:
+                s.unassign(stack.pop())
+            self.assert_masks_exact(s, seed)
+        while stack:
+            s.unassign(stack.pop())
+        assert s.trail == [] and _search_state(s) == initial
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_graphs(min_n=5, max_n=9, max_edges=14), st.sampled_from(SPECS))
+    def test_full_runs_restore_the_initial_state(self, g, spec):
+        runs = [
+            (symmetry_breaking_seed(g, spec), lambda s: s.decide()),
+            ((), lambda s: s.optimum(1, True)),
+            ((), lambda s: s.optimum(spec.k, False)),
+            ((), lambda s: list(s.critical_words())),
+        ]
+        for seed, run in runs:
+            s = _Search(g, spec, seed)
+            initial = _search_state(s)
+            run(s)
+            assert s.trail == [] and s.marks == []
+            assert _search_state(s) == initial
 
 
 class TestOracleEquivalence:
@@ -275,6 +351,21 @@ class TestOracleEquivalence:
 
 
 class TestExtremal:
+    def test_optima_match_the_oracle_on_every_graph_up_to_six_vertices(self, corpus):
+        for n in range(1, 7):
+            for g in corpus[n]:
+                for spec in (S33, S34):
+                    words = all_critical_words(g, spec)
+                    for color in (1, 2):
+                        sizes = [word.count(color) for word in words]
+                        for mode, pick in (("max", max), ("min", min)):
+                            got = extremal_critical_coloring(g, spec, color, mode)
+                            if not words:
+                                assert got is None
+                                continue
+                            assert is_critical(g, got, spec)
+                            assert got.class_size(color) == pick(sizes)
+
     def test_k5_max_blue_is_five(self):
         # Frozen from enumerating all 2^10 colorings of K_5.
         coloring = extremal_critical_coloring(complete_graph(5), S33, 2, "max")
