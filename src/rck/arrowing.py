@@ -148,9 +148,8 @@ def symmetry_breaking_seed(
     critical coloring exists, one gives edges[0] the least color of its
     target group.  The restriction is applied to that edge's mask before the
     search starts, so it is sound under any branching order, whenever the
-    edge is branched on.  On a complete graph with distinct targets the seed
-    names (0, 1) with every color, which restricts nothing.  Restricted and
-    unrestricted searches agree on the verdict.
+    edge is branched on.  Restricted and unrestricted searches agree on the
+    verdict.
     """
     edges = g.edges()
     if not edges:
@@ -163,8 +162,6 @@ def symmetry_breaking_seed(
             reps.append(ell)
     if len(reps) < spec.k:
         return [(edges[0], tuple(reps))]
-    if g.is_complete():
-        return [(edges[0], tuple(range(1, spec.k + 1)))]
     return []
 
 

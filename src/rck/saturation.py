@@ -64,5 +64,4 @@ def check_hajnal(g: Graph, t: int) -> bool:
     report = is_saturated(g, t)
     if not report.is_saturated:
         raise ValueError("check_hajnal requires a K_t-saturated graph")
-    delta, big_delta, _ = degree_stats(g)
-    return big_delta == g.n - 1 or delta >= 2 * (t - 2)
+    return report.hajnal_holds

@@ -213,9 +213,8 @@ class TestSymmetryBreaking:
         seed = symmetry_breaking_seed(complete_graph(6), S33)
         assert seed == [((0, 1), (1,))]
 
-    def test_distinct_targets_on_complete_graph_pin_edge_only(self):
-        seed = symmetry_breaking_seed(complete_graph(9), S34)
-        assert seed == [((0, 1), (1, 2))]
+    def test_distinct_targets_on_complete_graph_restrict_nothing(self):
+        assert symmetry_breaking_seed(complete_graph(9), S34) == []
 
     def test_non_complete_graph_color_restriction_only(self):
         seed = symmetry_breaking_seed(cycle_graph(5), S33)

@@ -1,5 +1,10 @@
+from collections import Counter
+
+import pytest
+
 from rck.canonical import canonical_form
 from rck.enumerate_graphs import KNOWN_COUNTS, all_graphs, graphs_up_to
+from rck.graphs import degree_stats, from_edges
 
 
 def test_counts_match_published_values_small():
@@ -18,3 +23,35 @@ def test_level_lists_are_canonical_and_sorted():
 def test_corpus_counts_up_to_eight(corpus):
     for n in range(1, 9):
         assert len(corpus[n]) == KNOWN_COUNTS[n]
+
+
+def test_levels_match_the_networkx_atlas(corpus):
+    """An enumeration that shares no code with rck: the bundled graph atlas."""
+    nx = pytest.importorskip("networkx")
+    atlas = {n: [] for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes():
+            atlas[h.number_of_nodes()].append(h)
+    for n in range(1, 8):
+        level = corpus[n]
+        assert len(atlas[n]) == len(level)
+        assert Counter(
+            (h.number_of_edges(), tuple(sorted(d for _, d in h.degree()))) for h in atlas[n]
+        ) == Counter((g.edge_count, tuple(sorted(degree_stats(g)[2]))) for g in level)
+        forms = {canonical_form(g) for g in level}
+        for h in atlas[n]:
+            assert canonical_form(from_edges(n, h.edges())) in forms
+
+
+def test_augmentation_canonicalises_only_minimum_degree_extensions(monkeypatch):
+    # Extending by every mask would make 11,291 calls up to n=7.
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return canonical_form(g)
+
+    monkeypatch.setattr("rck.enumerate_graphs.canonical_form", counting)
+    graphs_up_to(7)
+    assert calls == 3132
