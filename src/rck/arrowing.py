@@ -243,16 +243,6 @@ class _Search:
                     break
         return best_i
 
-    def completes_clique(self, ell: int, u: int, v: int) -> bool:
-        """Would coloring uv with ell create a K_{t_ell} in class ell?
-
-        The from-scratch test that the masks maintain incrementally: a new
-        monochromatic clique must contain the new edge, so only the common
-        neighborhood of its endpoints matters.
-        """
-        a = self.adjc[ell]
-        return mask_has_clique(a, a[u] & a[v], self.targets[ell - 1] - 2)
-
     def _block(self, ell: int, a, pairs: int, x: int, within: int, need: int) -> bool:
         """Drop ell from each uncolored edge xy, y in pairs, that would close
         a K_{t_ell} through the new edge uv.  within holds the vertices

@@ -147,28 +147,34 @@ def parse_config(argv) -> RunConfig:
 
 
 def load_inputs(cfg: RunConfig):
-    """Yield (graph6 line, Graph) for each input graph."""
+    """Yield the graph6 line of each input graph, unparsed.
+
+    Each record worker parses its own line with _parse_line, so a pool
+    parses every line once, in the worker that uses it.
+    """
     if cfg.construct is not None:
         try:
             g = construction_by_name(cfg.construct)
         except ValueError as exc:
             raise InputError(str(exc))
-        yield to_graph6(g), g
+        yield to_graph6(g)
         return
     stream = open(cfg.in_path) if cfg.in_path else sys.stdin
     try:
         for line in stream:
             text = line.strip()
-            if not text:
-                continue
-            try:
-                g = parse_graph6(text)
-            except ValueError as exc:
-                raise InputError(f"bad graph6 line {text!r}: {exc}")
-            yield to_graph6(g), g
+            if text:
+                yield text
     finally:
         if cfg.in_path:
             stream.close()
+
+
+def _parse_line(text: str) -> Graph:
+    try:
+        return parse_graph6(text)
+    except ValueError as exc:
+        raise InputError(f"bad graph6 line {text!r}: {exc}")
 
 
 def _chi_or_none(g: Graph) -> int | None:
@@ -196,7 +202,7 @@ def _emit(out, record: dict, cfg: RunConfig) -> None:
         out.write("  ".join(str(p) for p in parts) + "\n")
 
 
-def _record_base(g6: str, g: Graph, spec: CliqueVector | None) -> dict:
+def _record_base(g6: str, g: Graph, spec: CliqueVector | None, chi: int | None) -> dict:
     delta, _, _ = degree_stats(g)
     known = known_ramsey(spec) if spec else None
     ht = hanson_toft_edge_count(known[0], g.n) if known is not None else None
@@ -205,7 +211,7 @@ def _record_base(g6: str, g: Graph, spec: CliqueVector | None) -> dict:
         "spec": list(spec.sizes) if spec else None,
         "verdict": None,
         "delta": delta,
-        "chi": _chi_or_none(g),
+        "chi": chi,
         "edges": g.edge_count,
         "ht_bound": ht,
         "witness": None,
@@ -220,24 +226,32 @@ def _worse_exit(a: int, b: int) -> int:
     return a if order.get(a, 0) >= order.get(b, 0) else b
 
 
-def _stream_records(cfg: RunConfig, jobs, worker) -> list[tuple[dict, int]]:
+def _stream_records(cfg: RunConfig, jobs, worker) -> list:
     """Per-graph work items through a pool; results come back in input order.
 
-    With one worker (or one job) the items run inline and may parallelize
-    internally instead; either way the records are identical.
+    The command line's one pool across input graphs.  It gets about eight
+    chunks per worker, enough to balance uneven graphs while keeping the
+    per-chunk hand-over rare.  With one worker (or one job) the items run
+    inline and may parallelize internally instead; either way the records
+    are identical.  An item that raises (a bad input line) stops the run.
     """
     if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(worker, jobs, chunksize=4))
+        chunksize = max(1, len(jobs) // (8 * cfg.workers))
+        pool = ProcessPoolExecutor(max_workers=cfg.workers)
+        try:
+            return list(pool.map(worker, jobs, chunksize=chunksize))
+        finally:
+            pool.shutdown(cancel_futures=True)
     return [worker(job) for job in jobs]
 
 
 def _arrow_record(args) -> tuple[dict, int]:
-    g6, spec_sizes, node_limit, timing, workers = args
-    g = parse_graph6(g6)
+    line, spec_sizes, node_limit, timing, workers = args
+    g = _parse_line(line)
+    g6 = to_graph6(g)
     spec = CliqueVector((*spec_sizes,))
     verdict = arrows(g, spec, workers=workers, node_limit=node_limit)
-    record = _record_base(g6, g, spec)
+    record = _record_base(g6, g, spec, _chi_or_none(g))
     record["verdict"] = verdict.arrows
     record["stats"] = {
         "nodes": verdict.stats.nodes,
@@ -252,13 +266,9 @@ def _arrow_record(args) -> tuple[dict, int]:
 
 
 def cmd_arrow(cfg: RunConfig, out) -> int:
-    inner_workers = cfg.workers
-    jobs = [
-        (g6, cfg.spec.sizes, cfg.node_limit, cfg.timing, inner_workers)
-        for g6, _ in load_inputs(cfg)
-    ]
-    if len(jobs) > 1:
-        jobs = [(g6, s, n, t, 1) for g6, s, n, t, _ in jobs]
+    lines = list(load_inputs(cfg))
+    inner = cfg.workers if len(lines) == 1 else 1  # else the pool is across graphs
+    jobs = [(line, cfg.spec.sizes, cfg.node_limit, cfg.timing, inner) for line in lines]
     exit_code = EXIT_OK
     for index, (record, code) in enumerate(_stream_records(cfg, jobs, _arrow_record)):
         exit_code = _worse_exit(exit_code, code)
@@ -271,13 +281,14 @@ def cmd_arrow(cfg: RunConfig, out) -> int:
 
 
 def _cocritical_record(args) -> tuple[dict, int]:
-    g6, spec_sizes, node_limit, want_minimal, want_lemmas, workers = args
-    g = parse_graph6(g6)
+    line, spec_sizes, node_limit, want_minimal, want_lemmas, workers = args
+    g = _parse_line(line)
+    g6 = to_graph6(g)
     spec = CliqueVector((*spec_sizes,))
     if g.is_complete():
         raise InputError(f"graph {g6} is complete; co-criticality undefined")
     report = is_cocritical(g, spec, workers=workers, node_limit=node_limit)
-    record = _record_base(g6, g, spec)
+    record = _record_base(g6, g, spec, report.chi)
     record["verdict"] = report.is_cocritical
     record["failing_edge"] = list(report.failing_edge) if report.failing_edge else None
     record["meets_ht"] = report.meets_ht
@@ -300,12 +311,12 @@ def _cocritical_record(args) -> tuple[dict, int]:
 
 
 def cmd_cocritical(cfg: RunConfig, out) -> int:
+    lines = list(load_inputs(cfg))
+    inner = cfg.workers if len(lines) == 1 else 1  # else the pool is across graphs
     jobs = [
-        (g6, cfg.spec.sizes, cfg.node_limit, cfg.minimal, cfg.lemmas, cfg.workers)
-        for g6, _ in load_inputs(cfg)
+        (line, cfg.spec.sizes, cfg.node_limit, cfg.minimal, cfg.lemmas, inner)
+        for line in lines
     ]
-    if len(jobs) > 1:
-        jobs = [(g6, s, n, m, l, 1) for g6, s, n, m, l, _ in jobs]
     exit_code = EXIT_OK
     for record, code in _stream_records(cfg, jobs, _cocritical_record):
         exit_code = _worse_exit(exit_code, code)
@@ -318,17 +329,16 @@ SCAN_SKIPPED = "skipped"
 
 
 def _scan_graph(args):
-    g6, spec_sizes, node_limit = args
-    g = parse_graph6(g6)
+    line, spec_sizes, node_limit = args
+    g = _parse_line(line)
     spec = CliqueVector((*spec_sizes,))
     if g.is_complete():
-        return g6, SCAN_SKIPPED, None, 0
+        return SCAN_SKIPPED, None, 0
     report = is_cocritical(g, spec, node_limit=node_limit)
     if report.is_cocritical is not True:
-        return g6, report.is_cocritical, None, report.nodes
+        return report.is_cocritical, None, report.nodes
     findings = lemma_suite(g, spec)
     return (
-        g6,
         True,
         {
             "delta": report.delta,
@@ -341,18 +351,14 @@ def _scan_graph(args):
 
 def cmd_scan(cfg: RunConfig, out) -> int:
     spec = cfg.spec
-    jobs = [(g6, spec.sizes, cfg.node_limit) for g6, _ in load_inputs(cfg)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_scan_graph, jobs, chunksize=16))
-    else:
-        results = [_scan_graph(job) for job in jobs]
+    jobs = [(line, spec.sizes, cfg.node_limit) for line in load_inputs(cfg)]
+    results = _stream_records(cfg, jobs, _scan_graph)
 
     total = len(results)
     cocritical_info = []
     indeterminate = 0
     total_nodes = 0
-    for _, verdict, info, nodes in results:
+    for verdict, info, nodes in results:
         total_nodes += nodes
         if verdict == SCAN_SKIPPED:
             continue
@@ -396,8 +402,9 @@ def cmd_scan(cfg: RunConfig, out) -> int:
 
 
 def _saturated_record(args) -> tuple[dict, int]:
-    g6, t = args
-    g = parse_graph6(g6)
+    line, t = args
+    g = _parse_line(line)
+    g6 = to_graph6(g)
     report = is_saturated(g, t)
     record = {
         "g6": g6,
@@ -419,7 +426,7 @@ def _saturated_record(args) -> tuple[dict, int]:
 
 
 def cmd_saturated(cfg: RunConfig, out) -> int:
-    jobs = [(g6, cfg.t) for g6, _ in load_inputs(cfg)]
+    jobs = [(line, cfg.t) for line in load_inputs(cfg)]
     exit_code = EXIT_OK
     for record, code in _stream_records(cfg, jobs, _saturated_record):
         exit_code = _worse_exit(exit_code, code)

@@ -80,6 +80,30 @@ def _arrow_job(args):
     return verdict.arrows, verdict.stats.nodes
 
 
+def _first_witness_refuted(
+    witness: EdgeColoring, spec: CliqueVector, non_edges: list[Edge]
+) -> int:
+    """Index of the least non-edge whose extension the witness refutes.
+
+    Giving uv a color c keeps a critical coloring critical unless it closes
+    a monochromatic K_{t_c}, which must contain uv; its other t_c - 2
+    vertices form a clique in the common c-neighborhood of u and v.  So the
+    witness plus c on uv is a critical coloring of g + uv whenever that
+    neighborhood holds no K_{t_c - 2} (a K_2 target is never free).
+    Returns len(non_edges) when no non-edge has a free color.
+    """
+    classes = [
+        (witness.class_adj(ell), t - 2)
+        for ell, t in enumerate(spec.sizes, start=1)
+        if t >= 3
+    ]
+    for index, (u, v) in enumerate(non_edges):
+        for adj, need in classes:
+            if not mask_has_clique(adj, adj[u] & adj[v], need):
+                return index
+    return len(non_edges)
+
+
 def is_cocritical(
     g: Graph,
     spec: CliqueVector,
@@ -91,13 +115,18 @@ def is_cocritical(
     """Definitional co-criticality check.
 
     The base graph must admit a critical coloring and every single-non-edge
-    extension must not.  failing_edge is the least refuting non-edge.  The
-    non-edge checks run in lexicographic order and stop at the first failure;
-    with workers > 1 they run concurrently, stop dispatching at the first
-    failure in that order, and aggregate the verdict, failing edge, and node
-    statistics as if sequential.  The workers start with the K_r verdicts
-    this process holds, K_r proved first when an extension can contain it,
-    so they certify such extensions without searching K_r.
+    extension must not.  failing_edge is the least refuting non-edge.
+
+    Witness-first refutation: the least non-edge e* whose extension the
+    base witness refutes with one more colored edge is found without
+    search, so only the non-edges before e* are searched, in lexicographic
+    order, stopping at the first that does not arrow; if all of them arrow,
+    e* is the failing edge.  With workers > 1 and at least two extensions to
+    search they run concurrently, stop dispatching at the first failure in
+    that order, and aggregate the verdict, failing edge, and node statistics
+    as if sequential.  The workers start with the K_r verdicts this process
+    holds, K_r proved first when an extension can contain it, so they
+    certify such extensions without searching K_r.
     """
     if g.is_complete():
         raise ValueError("co-criticality is defined for non-complete graphs")
@@ -121,9 +150,11 @@ def is_cocritical(
         )
 
     non_edges = g.non_edges()
-    jobs = ((add_edge(g, e), spec, node_limit) for e in non_edges)
+    cut = _first_witness_refuted(base.witness, spec, non_edges)
+    searched = non_edges[:cut]
+    jobs = ((add_edge(g, e), spec, node_limit) for e in searched)
     pool = None
-    if workers > 1 and len(non_edges) > 1:
+    if workers > 1 and len(searched) > 1:
         verdicts = ramsey_clique_verdicts(
             g, spec, workers=workers, node_limit=node_limit
         )
@@ -136,7 +167,7 @@ def is_cocritical(
     failing: Edge | None = None
     try:
         results = pool.map(_arrow_job, jobs) if pool else map(_arrow_job, jobs)
-        for e, (arrowed, n_nodes) in zip(non_edges, results):
+        for e, (arrowed, n_nodes) in zip(searched, results):
             nodes += n_nodes
             if arrowed is not True:
                 verdict_value = arrowed
@@ -146,6 +177,9 @@ def is_cocritical(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    if verdict_value is True and cut < len(non_edges):
+        verdict_value = False
+        failing = non_edges[cut]
 
     return CocriticalReport(
         spec,

@@ -116,6 +116,22 @@ def brute_extremal_class_size(
     return max(sizes) if mode == "max" else min(sizes)
 
 
+def completes_clique(class_adj: list[int], t: int, u: int, v: int) -> bool:
+    """Would a new edge uv in the color class with adjacency class_adj close a K_t?
+
+    The from-scratch test that the search's feasible-color masks maintain
+    incrementally.  A new monochromatic clique must contain uv, so it closes
+    one iff some t-2 vertices of the common class neighborhood of u and v
+    are pairwise joined in the class (always, for t = 2).
+    """
+    both = class_adj[u] & class_adj[v]
+    common = [w for w in range(len(class_adj)) if both >> w & 1]
+    return any(
+        all(class_adj[a] >> b & 1 for a, b in combinations(combo, 2))
+        for combo in combinations(common, t - 2)
+    )
+
+
 def brute_is_saturated(g: Graph, t: int) -> bool:
     def has_kt(h: Graph) -> bool:
         return any(

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
-from oracles import all_critical_words, brute_arrows, brute_extremal_class_size
+from oracles import (
+    all_critical_words,
+    brute_arrows,
+    brute_extremal_class_size,
+    completes_clique,
+)
 from rck.arrowing import (
     _Search,
     CliqueVector,
@@ -253,7 +258,7 @@ class TestSearchCore:
                 continue
             want = 0
             for ell in allowed.get((u, v), range(1, s.k + 1)):
-                if not s.completes_clique(ell, u, v):
+                if not completes_clique(s.adjc[ell], s.targets[ell - 1], u, v):
                     want |= 1 << ell
             assert s.dom[i] == want, (i, s.colors)
 

@@ -3,9 +3,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rck.cli import EXIT_INDETERMINATE, EXIT_INPUT_ERROR, EXIT_OK, run
-from rck.graph6 import to_graph6
-from rck.graphs import complete_graph, empty_graph
+from rck.graph6 import parse_graph6, to_graph6
+from rck.graphs import complete_graph, cycle_graph, empty_graph
 
 
 def invoke(argv, stdin_text=None):
@@ -208,6 +210,43 @@ class TestScanCommand:
         (summary,) = records(out)
         assert summary["indeterminate"] == 1
         assert summary["cocritical"] == 0
+
+
+class TestWorkerDispatch:
+    """Records are parsed and computed in the workers of one ordered pool."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command", [["scan", "--spec", "3,3"], ["saturated", "--t", "4"]],
+        ids=lambda command: command[0],
+    )
+    def test_malformed_line_between_valid_ones(self, command, workers, capsys):
+        with pytest.raises(ValueError) as parse_error:
+            parse_graph6("not-a-graph")
+        stream = f"{to_graph6(cycle_graph(5))}\nnot-a-graph\n{to_graph6(complete_graph(4))}\n"
+        code, out = invoke(command + ["--workers", workers], stdin_text=stream)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        expect = f"error: bad graph6 line 'not-a-graph': {parse_error.value}\n"
+        assert capsys.readouterr().err == expect
+
+    @pytest.mark.parametrize(
+        "command",
+        [["saturated", "--t", "4"], ["cocritical", "--spec", "3,3"], ["arrow", "--spec", "3,3"]],
+        ids=lambda command: command[0],
+    )
+    def test_records_do_not_depend_on_workers(self, corpus, command):
+        graphs = corpus[6]
+        if command[0] == "cocritical":
+            graphs = [g for g in graphs if not g.is_complete()]
+        stream = "".join(to_graph6(g) + "\n" for g in graphs)
+        runs = [
+            invoke(command + ["--workers", workers], stdin_text=stream)
+            for workers in ("1", "2")
+        ]
+        assert runs[0][0] == EXIT_OK
+        assert len(records(runs[0][1])) == len(graphs)
+        assert runs[0] == runs[1]
 
 
 class TestConfig:

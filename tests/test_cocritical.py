@@ -120,6 +120,35 @@ class TestIsCocritical:
         assert report.is_cocritical is None
 
 
+def plain_cocritical(g, spec):
+    """Verdict and failing edge by one search per non-edge, in lexicographic order."""
+    if arrows(g, spec).arrows:
+        return False, None
+    for e in g.non_edges():
+        if not arrows(add_edge(g, e), spec).arrows:
+            return False, e
+    return True, None
+
+
+class TestWitnessFirstRefutation:
+    @pytest.mark.parametrize("spec", [S33, S34], ids=str)
+    def test_matches_plain_extension_search_up_to_eight_vertices(self, corpus, spec):
+        for n, graphs in corpus.items():
+            for g in graphs:
+                if g.is_complete():
+                    continue
+                report = is_cocritical(g, spec)
+                got = (report.is_cocritical, report.failing_edge)
+                assert got == plain_cocritical(g, spec), (n, g.adj)
+
+    def test_refuted_extension_costs_no_search(self):
+        # C5's least non-edge (0,2) takes a free color under the base witness.
+        base = arrows(cycle_graph(5), S33, split_depth=0)
+        report = is_cocritical(cycle_graph(5), S33)
+        assert report.failing_edge == (0, 2)
+        assert report.nodes == base.stats.nodes
+
+
 class TestHansonToftFamily:
     def test_cocritical_through_r_plus_two(self):
         # Construction invariant for both verified specs: co-critical with
