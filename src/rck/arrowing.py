@@ -439,9 +439,9 @@ def _solve_decision_subproblem(args):
         s.assign(i, ell)
     try:
         word = s.decide()
-        return word, s.nodes, s.max_depth, False
     except NodeLimitExceeded:
-        return None, s.nodes, s.max_depth, True
+        word = None
+    return word, s.nodes, s.max_depth
 
 
 def _default_split_depth(g: Graph) -> int:
@@ -449,34 +449,42 @@ def _default_split_depth(g: Graph) -> int:
 
 
 def _search_verdict(g, spec, workers, node_limit, split_depth, symmetry_breaking, t0):
-    seed = symmetry_breaking_seed(g, spec) if symmetry_breaking else []
+    """Run the subproblems and sum their nodes in input order.
 
+    Each subproblem runs under the whole node_limit, so its count up to the
+    limit does not depend on the worker count.  The verdict is indeterminate
+    as soon as the running sum passes the limit, witness or not.
+    """
+    seed = symmetry_breaking_seed(g, spec) if symmetry_breaking else []
     if split_depth <= 0:
-        word, nodes, max_depth, limited = _solve_decision_subproblem(
-            (g, spec, seed, (), node_limit)
-        )
-        words = [word] if word is not None else []
+        prefixes, words = [()], []
     else:
-        prefixes, completed = _Search(g, spec, seed).split(split_depth)
-        jobs = [(g, spec, seed, p, node_limit) for p in prefixes]
-        if workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_solve_decision_subproblem, jobs))
-        else:
-            results = [_solve_decision_subproblem(job) for job in jobs]
-        words = list(completed) + [w for w, _, _, _ in results if w is not None]
-        nodes = sum(r[1] for r in results)
-        max_depth = max((r[2] for r in results), default=0)
-        limited = any(r[3] for r in results)
+        prefixes, words = _Search(g, spec, seed).split(split_depth)
+    jobs = [(g, spec, seed, p, node_limit) for p in prefixes]
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_solve_decision_subproblem, jobs))
+    else:
+        results = map(_solve_decision_subproblem, jobs)
+    nodes = max_depth = 0
+    limited = False
+    for word, sub_nodes, sub_depth in results:
+        nodes += sub_nodes
+        max_depth = max(max_depth, sub_depth)
+        if node_limit is not None and nodes > node_limit:
+            limited = True
+            break
+        if word is not None:
+            words.append(word)
 
     stats = SearchStats(nodes, max_depth, time.perf_counter() - t0)
+    if limited:
+        return ArrowVerdict(None, None, stats)
     if words:
         witness = EdgeColoring(g, min(words), spec.k)
         if not is_critical(g, witness, spec):
             raise AssertionError("search produced an invalid witness")
         return ArrowVerdict(False, witness, stats)
-    if limited:
-        return ArrowVerdict(None, None, stats)
     return ArrowVerdict(True, None, stats)
 
 
@@ -501,41 +509,6 @@ def _has_clique_of_order(g: Graph, r: int) -> bool:
     return cand.bit_count() >= r and mask_has_clique(g.adj, cand, r)
 
 
-def _ramsey_clique_proof(spec, r, workers, node_limit) -> ArrowVerdict:
-    # Read the memo directly: a stored proof over the budget must not send
-    # a bounded search over K_r again.
-    kr = complete_graph(r)
-    proof = _RAMSEY_CLIQUE_VERDICTS.get((spec.sizes, _default_split_depth(kr), True))
-    if proof is None:
-        proof = arrows(kr, spec, workers=workers, node_limit=node_limit)
-    return proof
-
-
-def ramsey_clique_verdicts(
-    g: Graph,
-    spec: CliqueVector,
-    *,
-    workers: int = 1,
-    node_limit: int | None = None,
-) -> dict[tuple, ArrowVerdict]:
-    """The memoised K_r verdicts, after proving the one g's extensions need.
-
-    When some graph made from g by adding one edge can contain K_r (g has
-    more than r vertices and a K_{r-1}), K_r is proved first, as arrows()
-    would on demand.  Hand the result to install_ramsey_clique_verdicts in
-    the workers of a pool, so that no worker searches K_r again.
-    """
-    r = VERIFIED_RAMSEY.get(spec.sizes)
-    if r is not None and g.n > r and _has_clique_of_order(g, r - 1):
-        _ramsey_clique_proof(spec, r, workers, node_limit)
-    return dict(_RAMSEY_CLIQUE_VERDICTS)
-
-
-def install_ramsey_clique_verdicts(verdicts: dict[tuple, ArrowVerdict]) -> None:
-    """Pool initializer: adopt K_r verdicts proved by search in the parent."""
-    _RAMSEY_CLIQUE_VERDICTS.update(verdicts)
-
-
 def arrows(
     g: Graph,
     spec: CliqueVector,
@@ -552,6 +525,8 @@ def arrows(
     completion, so verdict, witness, and statistics do not depend on the
     worker count.  The witness is the lexicographically least color word
     among the subproblem witnesses and is re-verified before returning.
+    node_limit bounds the nodes of all subproblems together: past it the
+    verdict is indeterminate.
 
     Monotonicity certificate: arrowing is preserved under supergraphs.  When
     VERIFIED_RAMSEY holds a hint r for spec and g has more than r vertices
@@ -567,7 +542,12 @@ def arrows(
         split_depth = _default_split_depth(g)
     r = VERIFIED_RAMSEY.get(spec.sizes)
     if r is not None and g.n > r and _has_clique_of_order(g, r):
-        proof = _ramsey_clique_proof(spec, r, workers, node_limit)
+        # Read the memo directly: a stored proof over the budget must not
+        # send a bounded search over K_r again.
+        kr = complete_graph(r)
+        proof = _RAMSEY_CLIQUE_VERDICTS.get((spec.sizes, _default_split_depth(kr), True))
+        if proof is None:
+            proof = arrows(kr, spec, workers=workers, node_limit=node_limit)
         if proof.arrows is True and _within_budget(proof, node_limit):
             elapsed = time.perf_counter() - t0
             return ArrowVerdict(True, None, SearchStats(0, 0, elapsed))

@@ -18,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .arrowing import CliqueVector, arrows, serialize_coloring
@@ -227,26 +228,28 @@ def _worse_exit(a: int, b: int) -> int:
 
 
 def _stream_records(cfg: RunConfig, jobs, worker) -> list:
-    """Per-graph work items through a pool; results come back in input order.
+    """worker(job, workers) per input graph; results come back in input order.
 
-    The command line's one pool across input graphs.  It gets about eight
-    chunks per worker, enough to balance uneven graphs while keeping the
-    per-chunk hand-over rare.  With one worker (or one job) the items run
-    inline and may parallelize internally instead; either way the records
-    are identical.  An item that raises (a bad input line) stops the run.
+    This decides where the workers go.  With two or more jobs they form the
+    command line's one pool across input graphs, and each job runs with one
+    worker.  The pool gets about eight chunks per worker, enough to balance
+    uneven graphs while keeping the per-chunk hand-over rare.  Otherwise the
+    jobs run inline and each gets all the workers to use inside its own
+    search.  Either way the records are identical.  A job that raises (a
+    bad input line) stops the run.
     """
     if cfg.workers > 1 and len(jobs) > 1:
         chunksize = max(1, len(jobs) // (8 * cfg.workers))
         pool = ProcessPoolExecutor(max_workers=cfg.workers)
         try:
-            return list(pool.map(worker, jobs, chunksize=chunksize))
+            return list(pool.map(worker, jobs, repeat(1), chunksize=chunksize))
         finally:
             pool.shutdown(cancel_futures=True)
-    return [worker(job) for job in jobs]
+    return [worker(job, cfg.workers) for job in jobs]
 
 
-def _arrow_record(args) -> tuple[dict, int]:
-    line, spec_sizes, node_limit, timing, workers = args
+def _arrow_record(args, workers: int) -> tuple[dict, int]:
+    line, spec_sizes, node_limit, timing = args
     g = _parse_line(line)
     g6 = to_graph6(g)
     spec = CliqueVector((*spec_sizes,))
@@ -266,9 +269,9 @@ def _arrow_record(args) -> tuple[dict, int]:
 
 
 def cmd_arrow(cfg: RunConfig, out) -> int:
-    lines = list(load_inputs(cfg))
-    inner = cfg.workers if len(lines) == 1 else 1  # else the pool is across graphs
-    jobs = [(line, cfg.spec.sizes, cfg.node_limit, cfg.timing, inner) for line in lines]
+    jobs = [
+        (line, cfg.spec.sizes, cfg.node_limit, cfg.timing) for line in load_inputs(cfg)
+    ]
     exit_code = EXIT_OK
     for index, (record, code) in enumerate(_stream_records(cfg, jobs, _arrow_record)):
         exit_code = _worse_exit(exit_code, code)
@@ -280,8 +283,8 @@ def cmd_arrow(cfg: RunConfig, out) -> int:
     return exit_code
 
 
-def _cocritical_record(args) -> tuple[dict, int]:
-    line, spec_sizes, node_limit, want_minimal, want_lemmas, workers = args
+def _cocritical_record(args, workers: int) -> tuple[dict, int]:
+    line, spec_sizes, node_limit, want_minimal, want_lemmas = args
     g = _parse_line(line)
     g6 = to_graph6(g)
     spec = CliqueVector((*spec_sizes,))
@@ -311,11 +314,9 @@ def _cocritical_record(args) -> tuple[dict, int]:
 
 
 def cmd_cocritical(cfg: RunConfig, out) -> int:
-    lines = list(load_inputs(cfg))
-    inner = cfg.workers if len(lines) == 1 else 1  # else the pool is across graphs
     jobs = [
-        (line, cfg.spec.sizes, cfg.node_limit, cfg.minimal, cfg.lemmas, inner)
-        for line in lines
+        (line, cfg.spec.sizes, cfg.node_limit, cfg.minimal, cfg.lemmas)
+        for line in load_inputs(cfg)
     ]
     exit_code = EXIT_OK
     for record, code in _stream_records(cfg, jobs, _cocritical_record):
@@ -328,13 +329,13 @@ def cmd_cocritical(cfg: RunConfig, out) -> int:
 SCAN_SKIPPED = "skipped"
 
 
-def _scan_graph(args):
+def _scan_graph(args, workers: int):
     line, spec_sizes, node_limit = args
     g = _parse_line(line)
     spec = CliqueVector((*spec_sizes,))
     if g.is_complete():
         return SCAN_SKIPPED, None, 0
-    report = is_cocritical(g, spec, node_limit=node_limit)
+    report = is_cocritical(g, spec, workers=workers, node_limit=node_limit)
     if report.is_cocritical is not True:
         return report.is_cocritical, None, report.nodes
     findings = lemma_suite(g, spec)
@@ -401,7 +402,7 @@ def cmd_scan(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _saturated_record(args) -> tuple[dict, int]:
+def _saturated_record(args, _workers: int) -> tuple[dict, int]:
     line, t = args
     g = _parse_line(line)
     g6 = to_graph6(g)

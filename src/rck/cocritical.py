@@ -11,7 +11,6 @@ input is a build-breaking bug, not a discovery to report quietly.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,8 +19,6 @@ from .arrowing import (
     EdgeColoring,
     arrows,
     extremal_critical_coloring,
-    install_ramsey_clique_verdicts,
-    ramsey_clique_verdicts,
 )
 from .constructions import (
     hanson_toft_edge_count,
@@ -74,12 +71,6 @@ class LemmaFinding:
     context: dict | None = None
 
 
-def _arrow_job(args):
-    g, spec, node_limit = args
-    verdict = arrows(g, spec, workers=1, node_limit=node_limit)
-    return verdict.arrows, verdict.stats.nodes
-
-
 def _first_witness_refuted(
     witness: EdgeColoring, spec: CliqueVector, non_edges: list[Edge]
 ) -> int:
@@ -121,12 +112,8 @@ def is_cocritical(
     base witness refutes with one more colored edge is found without
     search, so only the non-edges before e* are searched, in lexicographic
     order, stopping at the first that does not arrow; if all of them arrow,
-    e* is the failing edge.  With workers > 1 and at least two extensions to
-    search they run concurrently, stop dispatching at the first failure in
-    that order, and aggregate the verdict, failing edge, and node statistics
-    as if sequential.  The workers start with the K_r verdicts this process
-    holds, K_r proved first when an extension can contain it, so they
-    certify such extensions without searching K_r.
+    e* is the failing edge.  Each extension search gets the workers and the
+    part of node_limit that the searches before it left.
     """
     if g.is_complete():
         raise ValueError("co-criticality is defined for non-complete graphs")
@@ -151,32 +138,17 @@ def is_cocritical(
 
     non_edges = g.non_edges()
     cut = _first_witness_refuted(base.witness, spec, non_edges)
-    searched = non_edges[:cut]
-    jobs = ((add_edge(g, e), spec, node_limit) for e in searched)
-    pool = None
-    if workers > 1 and len(searched) > 1:
-        verdicts = ramsey_clique_verdicts(
-            g, spec, workers=workers, node_limit=node_limit
-        )
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=install_ramsey_clique_verdicts,
-            initargs=(verdicts,),
-        )
     verdict_value: bool | None = True
     failing: Edge | None = None
-    try:
-        results = pool.map(_arrow_job, jobs) if pool else map(_arrow_job, jobs)
-        for e, (arrowed, n_nodes) in zip(searched, results):
-            nodes += n_nodes
-            if arrowed is not True:
-                verdict_value = arrowed
-                if arrowed is False:
-                    failing = e
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for e in non_edges[:cut]:
+        budget = None if node_limit is None else node_limit - nodes
+        verdict = arrows(add_edge(g, e), spec, workers=workers, node_limit=budget)
+        nodes += verdict.stats.nodes
+        if verdict.arrows is not True:
+            verdict_value = verdict.arrows
+            if verdict.arrows is False:
+                failing = e
+            break
     if verdict_value is True and cut < len(non_edges):
         verdict_value = False
         failing = non_edges[cut]

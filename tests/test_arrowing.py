@@ -143,6 +143,30 @@ class TestArrows:
         assert first.stats.max_depth == third.stats.max_depth
 
 
+
+class TestNodeBudget:
+    """node_limit bounds the nodes of all split subproblems together."""
+
+    def test_witness_past_the_limit_is_indeterminate(self):
+        # K8 (3,4) has 28 edges, so it splits; its witness takes 175 nodes.
+        g = complete_graph(8)
+        for workers in (1, 2):
+            assert arrows(g, S34, workers=workers, node_limit=175).arrows is False
+            verdict = arrows(g, S34, workers=workers, node_limit=100)
+            assert verdict.indeterminate and verdict.witness is None
+            assert verdict.stats.nodes > 100
+
+    def test_proof_past_the_limit_is_indeterminate(self):
+        # Each subproblem of K9 (3,4) fits 50,000 nodes; all of them, 94,353,
+        # do not.  The running sum stops at the same subproblem either way.
+        verdicts = [
+            arrows(complete_graph(9), S34, workers=workers, node_limit=50_000)
+            for workers in (1, 2)
+        ]
+        assert all(v.indeterminate for v in verdicts)
+        one, two = (v.stats for v in verdicts)
+        assert (one.nodes, one.max_depth) == (two.nodes, two.max_depth)
+
 # Runs K9, HT(3,4) n=9 and HT(3,4) n=10 in the order given on the command
 # line, in a fresh interpreter, and prints each verdict with its node count.
 _ORDER_SCRIPT = """

@@ -1,7 +1,3 @@
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
-
 import pytest
 
 from oracles import brute_is_cocritical
@@ -9,9 +5,7 @@ from rck.arrowing import (
     CliqueVector,
     arrows,
     extremal_critical_coloring,
-    install_ramsey_clique_verdicts,
     is_critical,
-    ramsey_clique_verdicts,
 )
 from rck.cocritical import (
     MAXIMIZE_LAST,
@@ -77,43 +71,25 @@ class TestIsCocritical:
         seq_false = is_cocritical(cycle_graph(5), S33, workers=1)
         par_false = is_cocritical(cycle_graph(5), S33, workers=2)
         assert seq_false == par_false
-        # Every extension of HT(3,4) n=10 contains K9: the workers certify
-        # them from the K9 proof handed over by this process.
+        # Every extension of HT(3,4) n=10 contains K9: each is certified
+        # from the K9 proof, which the workers search as split subproblems.
         ht = hanson_toft(S34, 10)
         assert is_cocritical(ht, S34, workers=2) == is_cocritical(ht, S34, workers=1)
-
-    def test_a_worker_certifies_from_the_handed_proof(self):
-        g = hanson_toft(S33, 7)  # K4 joined to three vertices: holds a K5
-        verdicts = ramsey_clique_verdicts(g, S33)
-        assert any(v.arrows for v in verdicts.values())
-        # Proofs that claim 1 node: under node_limit=1 a worker certifies an
-        # extension holding K6 only by adopting them, since a search over K6
-        # of its own runs out.  Spawned workers inherit no memo.
-        cheap = {
-            key: replace(v, stats=replace(v.stats, nodes=1))
-            for key, v in verdicts.items()
-        }
-        ext = add_edge(g, g.non_edges()[0])
-        spawn = multiprocessing.get_context("spawn")
-        results = []
-        for initargs in ((cheap,), ({},)):
-            with ProcessPoolExecutor(
-                1,
-                mp_context=spawn,
-                initializer=install_ramsey_clique_verdicts,
-                initargs=initargs,
-            ) as pool:
-                future = pool.submit(arrows, ext, S33, node_limit=1)
-                results.append(future.result(timeout=120))
-        handed, own = results
-        assert handed.arrows is True and handed.stats.nodes == 0
-        assert own.indeterminate
 
     def test_matches_brute_force_on_five_vertices(self, corpus):
         for g in corpus[5]:
             if g.is_complete():
                 continue
             assert is_cocritical(g, S33).is_cocritical == brute_is_cocritical(g, S33)
+
+    def test_node_limit_is_one_budget_over_the_extensions(self):
+        # HT(3,3) n=7 is K4 joined to three vertices: its base search takes
+        # 23 nodes, and each extension holds a K6, whose proof takes 26.
+        g = hanson_toft(S33, 7)
+        for limit in (26, 48):
+            assert is_cocritical(g, S33, node_limit=limit).is_cocritical is None
+        report = is_cocritical(g, S33, node_limit=49)
+        assert report.is_cocritical is True and report.nodes == 23
 
     def test_node_limit_gives_indeterminate(self):
         report = is_cocritical(k6_minus(), S33, node_limit=3)
