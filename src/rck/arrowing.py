@@ -432,6 +432,26 @@ class _Search:
         yield from gen(0)
 
 
+def ordered_map(fn, jobs: list, workers: int):
+    """fn over jobs, with the results in input order.
+
+    With fewer than two workers or two jobs this is the lazy built-in map,
+    so a caller can stop at any result.  Otherwise a process pool runs the
+    jobs in about eight chunks per worker, enough to balance uneven jobs
+    while keeping the per-chunk hand-over rare, and every result is ready
+    on return.  A job that raises stops the map and cancels the chunks not
+    yet started.
+    """
+    if workers < 2 or len(jobs) < 2:
+        return map(fn, jobs)
+    chunksize = max(1, len(jobs) // (8 * workers))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, jobs, chunksize=chunksize))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _solve_decision_subproblem(args):
     g, spec, seed, prefix, node_limit = args
     s = _Search(g, spec, seed, node_limit)
@@ -461,11 +481,7 @@ def _search_verdict(g, spec, workers, node_limit, split_depth, symmetry_breaking
     else:
         prefixes, words = _Search(g, spec, seed).split(split_depth)
     jobs = [(g, spec, seed, p, node_limit) for p in prefixes]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_decision_subproblem, jobs))
-    else:
-        results = map(_solve_decision_subproblem, jobs)
+    results = ordered_map(_solve_decision_subproblem, jobs, workers)
     nodes = max_depth = 0
     limited = False
     for word, sub_nodes, sub_depth in results:

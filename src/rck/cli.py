@@ -16,12 +16,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
-from .arrowing import CliqueVector, arrows, serialize_coloring
+from .arrowing import CliqueVector, arrows, ordered_map, serialize_coloring
 from .canonical import canonical_form
 from .cocritical import is_cocritical, is_minimal_cocritical, lemma_suite
 from .constructions import (
@@ -42,23 +41,6 @@ EXIT_INDETERMINATE = 3
 WORKERS_ENV = "RCK_WORKERS"
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    spec: CliqueVector | None
-    t: int | None
-    construct: str | None
-    in_path: str | None
-    lemmas: bool
-    minimal: bool
-    workers: int
-    node_limit: int | None
-    json_out: bool
-    timing: bool
-    witness_dir: str | None
-    report_path: str | None
-
-
 class InputError(Exception):
     pass
 
@@ -76,7 +58,7 @@ def default_workers() -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise InputError(f"bad {WORKERS_ENV} value {env!r}")
     return 1
@@ -98,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=brief)
         if name == "saturated":
             p.add_argument("--t", type=int, required=True, help="clique target")
+            p.set_defaults(spec=None)
         else:
             p.add_argument("--spec", required=True, help="clique sizes, e.g. 3,3")
         p.add_argument("--construct", help="named construction instead of a stream")
@@ -111,43 +94,39 @@ def build_parser() -> argparse.ArgumentParser:
         fmt.add_argument("--json", dest="json_out", action="store_true", default=True)
         fmt.add_argument("--text", dest="json_out", action="store_false")
         p.add_argument("--timing", action="store_true")
-        p.add_argument("--report", help="also write records to this file")
+        p.add_argument(
+            "--report",
+            dest="report_path",
+            metavar="REPORT",
+            help="also write records to this file",
+        )
         if name == "arrow":
             p.add_argument("--witness-dir", help="write witness files here")
+        else:
+            p.set_defaults(witness_dir=None)
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    spec = None
-    if getattr(args, "spec", None) is not None:
+def parse_config(argv) -> argparse.Namespace:
+    """The parsed arguments, with spec as a CliqueVector and workers resolved."""
+    cfg = build_parser().parse_args(argv)
+    if cfg.spec is not None:
         try:
-            spec = CliqueVector.parse(args.spec)
+            cfg.spec = CliqueVector.parse(cfg.spec)
         except ValueError as exc:
             raise InputError(str(exc))
-    if args.construct is not None and args.in_path is not None:
+    if cfg.construct is not None and cfg.in_path is not None:
         raise InputError("choose one input source: --construct or --in")
-    workers = args.workers if args.workers is not None else default_workers()
-    if workers < 1:
+    if cfg.workers is None:
+        cfg.workers = default_workers()
+    if cfg.workers < 1:
         raise InputError("worker count must be at least 1")
-    return RunConfig(
-        subcommand=args.subcommand,
-        spec=spec,
-        t=getattr(args, "t", None),
-        construct=args.construct,
-        in_path=args.in_path,
-        lemmas=getattr(args, "lemmas", False),
-        minimal=getattr(args, "minimal", False),
-        workers=workers,
-        node_limit=args.node_limit,
-        json_out=args.json_out,
-        timing=args.timing,
-        witness_dir=getattr(args, "witness_dir", None),
-        report_path=args.report,
-    )
+    if cfg.node_limit is not None and cfg.node_limit < 0:
+        raise InputError("node limit must be at least 0")
+    return cfg
 
 
-def load_inputs(cfg: RunConfig):
+def load_inputs(cfg: argparse.Namespace):
     """Yield the graph6 line of each input graph, unparsed.
 
     Each record worker parses its own line with _parse_line, so a pool
@@ -178,38 +157,25 @@ def _parse_line(text: str) -> Graph:
         raise InputError(f"bad graph6 line {text!r}: {exc}")
 
 
-def _chi_or_none(g: Graph) -> int | None:
-    return chromatic_number(g) if g.n <= CHROMATIC_MAX_VERTICES else None
-
-
-def _finding_json(f) -> dict:
-    return {
-        "clause": f.clause,
-        "holds": f.holds,
-        "vacuous": f.vacuous,
-        "context": f.context,
-    }
-
-
-def _emit(out, record: dict, cfg: RunConfig) -> None:
+def _emit(out, record: dict, cfg: argparse.Namespace) -> None:
     if cfg.json_out:
         out.write(json.dumps(record) + "\n")
     else:
-        parts = []
-        for key, value in record.items():
-            if key in ("witness", "lemmas", "stats") and not value:
-                continue
-            parts.append(f"{key}={value}")
-        out.write("  ".join(str(p) for p in parts) + "\n")
+        parts = (
+            f"{key}={value}"
+            for key, value in record.items()
+            if value or key not in ("witness", "lemmas", "stats")
+        )
+        out.write("  ".join(parts) + "\n")
 
 
-def _record_base(g6: str, g: Graph, spec: CliqueVector | None, chi: int | None) -> dict:
+def _record_base(g: Graph, spec: CliqueVector, chi: int | None) -> dict:
     delta, _, _ = degree_stats(g)
-    known = known_ramsey(spec) if spec else None
+    known = known_ramsey(spec)
     ht = hanson_toft_edge_count(known[0], g.n) if known is not None else None
     return {
-        "g6": g6,
-        "spec": list(spec.sizes) if spec else None,
+        "g6": to_graph6(g),
+        "spec": list(spec.sizes),
         "verdict": None,
         "delta": delta,
         "chi": chi,
@@ -227,40 +193,31 @@ def _worse_exit(a: int, b: int) -> int:
     return a if order.get(a, 0) >= order.get(b, 0) else b
 
 
-def _stream_records(cfg: RunConfig, jobs, worker) -> list:
-    """worker(job, workers) per input graph; results come back in input order.
+def _stream_records(cfg: argparse.Namespace, record) -> list:
+    """record(cfg, workers, line) per input line, in input order.
 
-    This decides where the workers go.  With two or more jobs they form the
-    command line's one pool across input graphs, and each job runs with one
-    worker.  The pool gets about eight chunks per worker, enough to balance
-    uneven graphs while keeping the per-chunk hand-over rare.  Otherwise the
-    jobs run inline and each gets all the workers to use inside its own
-    search.  Either way the records are identical.  A job that raises (a
-    bad input line) stops the run.
+    This decides where the workers go.  With two or more input graphs they
+    form one ordered pool across the graphs, and each record runs with one
+    worker.  A single graph runs inline with all the workers to use inside
+    its own search.  Either way the records are identical.  A record that
+    raises (a bad input line) stops the run before any record is emitted.
     """
-    if cfg.workers > 1 and len(jobs) > 1:
-        chunksize = max(1, len(jobs) // (8 * cfg.workers))
-        pool = ProcessPoolExecutor(max_workers=cfg.workers)
-        try:
-            return list(pool.map(worker, jobs, repeat(1), chunksize=chunksize))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return [worker(job, cfg.workers) for job in jobs]
+    lines = list(load_inputs(cfg))
+    inner = 1 if len(lines) > 1 else cfg.workers
+    return list(ordered_map(partial(record, cfg, inner), lines, cfg.workers))
 
 
-def _arrow_record(args, workers: int) -> tuple[dict, int]:
-    line, spec_sizes, node_limit, timing = args
+def _arrow_record(cfg: argparse.Namespace, workers: int, line: str) -> tuple[dict, int]:
     g = _parse_line(line)
-    g6 = to_graph6(g)
-    spec = CliqueVector((*spec_sizes,))
-    verdict = arrows(g, spec, workers=workers, node_limit=node_limit)
-    record = _record_base(g6, g, spec, _chi_or_none(g))
+    verdict = arrows(g, cfg.spec, workers=workers, node_limit=cfg.node_limit)
+    chi = chromatic_number(g) if g.n <= CHROMATIC_MAX_VERTICES else None
+    record = _record_base(g, cfg.spec, chi)
     record["verdict"] = verdict.arrows
     record["stats"] = {
         "nodes": verdict.stats.nodes,
         "max_depth": verdict.stats.max_depth,
     }
-    if timing:
+    if cfg.timing:
         record["stats"]["wall_time"] = round(verdict.stats.wall_time, 6)
     if verdict.witness is not None:
         record["witness"] = serialize_coloring(verdict.witness)
@@ -268,30 +225,15 @@ def _arrow_record(args, workers: int) -> tuple[dict, int]:
     return record, code
 
 
-def cmd_arrow(cfg: RunConfig, out) -> int:
-    jobs = [
-        (line, cfg.spec.sizes, cfg.node_limit, cfg.timing) for line in load_inputs(cfg)
-    ]
-    exit_code = EXIT_OK
-    for index, (record, code) in enumerate(_stream_records(cfg, jobs, _arrow_record)):
-        exit_code = _worse_exit(exit_code, code)
-        if record["witness"] and cfg.witness_dir:
-            path = Path(cfg.witness_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            (path / f"witness-{index}.txt").write_text(record["witness"])
-        _emit(out, record, cfg)
-    return exit_code
-
-
-def _cocritical_record(args, workers: int) -> tuple[dict, int]:
-    line, spec_sizes, node_limit, want_minimal, want_lemmas = args
+def _cocritical_record(
+    cfg: argparse.Namespace, workers: int, line: str
+) -> tuple[dict, int]:
     g = _parse_line(line)
-    g6 = to_graph6(g)
-    spec = CliqueVector((*spec_sizes,))
+    spec = cfg.spec
     if g.is_complete():
-        raise InputError(f"graph {g6} is complete; co-criticality undefined")
-    report = is_cocritical(g, spec, workers=workers, node_limit=node_limit)
-    record = _record_base(g6, g, spec, report.chi)
+        raise InputError(f"graph {to_graph6(g)} is complete; co-criticality undefined")
+    report = is_cocritical(g, spec, workers=workers, node_limit=cfg.node_limit)
+    record = _record_base(g, spec, report.chi)
     record["verdict"] = report.is_cocritical
     record["failing_edge"] = list(report.failing_edge) if report.failing_edge else None
     record["meets_ht"] = report.meets_ht
@@ -301,44 +243,26 @@ def _cocritical_record(args, workers: int) -> tuple[dict, int]:
         record["witness"] = serialize_coloring(report.base_witness)
     code = EXIT_INDETERMINATE if report.is_cocritical is None else EXIT_OK
     if report.is_cocritical:
-        if want_minimal:
+        if cfg.minimal:
             record["minimal"] = is_minimal_cocritical(
                 g, spec, report=report, workers=workers
             )
-        if want_lemmas:
-            findings = lemma_suite(g, spec, workers=workers)
-            record["lemmas"] = [_finding_json(f) for f in findings]
+        if cfg.lemmas:
+            findings = lemma_suite(g, spec)
+            record["lemmas"] = [asdict(f) for f in findings]
             if any(not f.holds for f in findings):
                 code = EXIT_ASSERTION_FAILED
     return record, code
 
 
-def cmd_cocritical(cfg: RunConfig, out) -> int:
-    jobs = [
-        (line, cfg.spec.sizes, cfg.node_limit, cfg.minimal, cfg.lemmas)
-        for line in load_inputs(cfg)
-    ]
-    exit_code = EXIT_OK
-    for record, code in _stream_records(cfg, jobs, _cocritical_record):
-        exit_code = _worse_exit(exit_code, code)
-        _emit(out, record, cfg)
-    return exit_code
-
-
-# _scan_graph's verdict for a complete graph, which co-criticality excludes.
-SCAN_SKIPPED = "skipped"
-
-
-def _scan_graph(args, workers: int):
-    line, spec_sizes, node_limit = args
+def _scan_graph(cfg: argparse.Namespace, workers: int, line: str):
     g = _parse_line(line)
-    spec = CliqueVector((*spec_sizes,))
     if g.is_complete():
-        return SCAN_SKIPPED, None, 0
-    report = is_cocritical(g, spec, workers=workers, node_limit=node_limit)
+        return False, None, 0  # co-criticality excludes complete graphs
+    report = is_cocritical(g, cfg.spec, workers=workers, node_limit=cfg.node_limit)
     if report.is_cocritical is not True:
         return report.is_cocritical, None, report.nodes
-    findings = lemma_suite(g, spec)
+    findings = lemma_suite(g, cfg.spec)
     return (
         True,
         {
@@ -350,10 +274,9 @@ def _scan_graph(args, workers: int):
     )
 
 
-def cmd_scan(cfg: RunConfig, out) -> int:
+def cmd_scan(cfg: argparse.Namespace, out) -> int:
     spec = cfg.spec
-    jobs = [(line, spec.sizes, cfg.node_limit) for line in load_inputs(cfg)]
-    results = _stream_records(cfg, jobs, _scan_graph)
+    results = _stream_records(cfg, _scan_graph)
 
     total = len(results)
     cocritical_info = []
@@ -361,19 +284,14 @@ def cmd_scan(cfg: RunConfig, out) -> int:
     total_nodes = 0
     for verdict, info, nodes in results:
         total_nodes += nodes
-        if verdict == SCAN_SKIPPED:
-            continue
         if verdict is None:
             indeterminate += 1
-        elif verdict and info:
+        elif verdict:
             cocritical_info.append(info)
 
-    lemma_pass = sum(
-        1 for info in cocritical_info for _, holds, _ in info["findings"] if holds
-    )
-    lemma_fail = sum(
-        1 for info in cocritical_info for _, holds, _ in info["findings"] if not holds
-    )
+    holds = [h for info in cocritical_info for _, h, _ in info["findings"]]
+    lemma_pass = sum(holds)
+    lemma_fail = len(holds) - lemma_pass
     deltas = [info["delta"] for info in cocritical_info]
     try:
         bound = sharp_mindeg_bound(spec)
@@ -402,14 +320,14 @@ def cmd_scan(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _saturated_record(args, _workers: int) -> tuple[dict, int]:
-    line, t = args
+def _saturated_record(
+    cfg: argparse.Namespace, _workers: int, line: str
+) -> tuple[dict, int]:
     g = _parse_line(line)
-    g6 = to_graph6(g)
-    report = is_saturated(g, t)
+    report = is_saturated(g, cfg.t)
     record = {
-        "g6": g6,
-        "t": t,
+        "g6": to_graph6(g),
+        "t": cfg.t,
         "verdict": {
             "is_free": report.is_free,
             "is_saturated": report.is_saturated,
@@ -426,11 +344,23 @@ def _saturated_record(args, _workers: int) -> tuple[dict, int]:
     return record, EXIT_ASSERTION_FAILED if failed else EXIT_OK
 
 
-def cmd_saturated(cfg: RunConfig, out) -> int:
-    jobs = [(line, cfg.t) for line in load_inputs(cfg)]
+RECORDS = {
+    "arrow": _arrow_record,
+    "cocritical": _cocritical_record,
+    "saturated": _saturated_record,
+}
+
+
+def cmd_records(cfg: argparse.Namespace, out) -> int:
+    """Emit one record per input graph; exit with the worst record's code."""
     exit_code = EXIT_OK
-    for record, code in _stream_records(cfg, jobs, _saturated_record):
+    records = _stream_records(cfg, RECORDS[cfg.subcommand])
+    for index, (record, code) in enumerate(records):
         exit_code = _worse_exit(exit_code, code)
+        if record.get("witness") and cfg.witness_dir:
+            path = Path(cfg.witness_dir)
+            path.mkdir(parents=True, exist_ok=True)
+            (path / f"witness-{index}.txt").write_text(record["witness"])
         _emit(out, record, cfg)
     return exit_code
 
@@ -438,26 +368,12 @@ def cmd_saturated(cfg: RunConfig, out) -> int:
 def run(argv, out) -> int:
     try:
         cfg = parse_config(argv)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    handler = {
-        "arrow": cmd_arrow,
-        "cocritical": cmd_cocritical,
-        "scan": cmd_scan,
-        "saturated": cmd_saturated,
-    }[cfg.subcommand]
-    try:
+        handler = cmd_scan if cfg.subcommand == "scan" else cmd_records
         if cfg.report_path:
             with open(cfg.report_path, "w") as report:
-                code = handler(cfg, _Tee(out, report))
-        else:
-            code = handler(cfg, out)
-        return code
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, ValueError) as exc:
+                return handler(cfg, _Tee(out, report))
+        return handler(cfg, out)
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -52,12 +52,10 @@ class CocriticalReport:
     failing_edge: Edge | None
     base_witness: EdgeColoring | None
     delta: int
-    big_delta: int
     chi: int | None
     edge_count: int
     ht_bound: int | None
     meets_ht: bool | None
-    is_minimal: bool | None
     nodes: int
 
 
@@ -117,7 +115,7 @@ def is_cocritical(
     """
     if g.is_complete():
         raise ValueError("co-criticality is defined for non-complete graphs")
-    delta, big_delta, _ = degree_stats(g)
+    delta = degree_stats(g)[0]
     chi = chromatic_number(g) if g.n <= CHROMATIC_MAX_VERTICES else None
     known = known_ramsey(spec, r)
     ht_bound = hanson_toft_edge_count(known[0], g.n) if known else None
@@ -125,33 +123,24 @@ def is_cocritical(
 
     base = arrows(g, spec, node_limit=node_limit, split_depth=0)
     nodes = base.stats.nodes
-    if base.arrows is None:
-        return CocriticalReport(
-            spec, None, None, None, delta, big_delta, chi,
-            g.edge_count, ht_bound, meets_ht, None, nodes,
-        )
-    if base.arrows:
-        return CocriticalReport(
-            spec, False, None, None, delta, big_delta, chi,
-            g.edge_count, ht_bound, meets_ht, None, nodes,
-        )
-
-    non_edges = g.non_edges()
-    cut = _first_witness_refuted(base.witness, spec, non_edges)
-    verdict_value: bool | None = True
+    verdict_value = None if base.arrows is None else not base.arrows
     failing: Edge | None = None
-    for e in non_edges[:cut]:
-        budget = None if node_limit is None else node_limit - nodes
-        verdict = arrows(add_edge(g, e), spec, workers=workers, node_limit=budget)
-        nodes += verdict.stats.nodes
-        if verdict.arrows is not True:
-            verdict_value = verdict.arrows
-            if verdict.arrows is False:
-                failing = e
-            break
-    if verdict_value is True and cut < len(non_edges):
-        verdict_value = False
-        failing = non_edges[cut]
+    if base.arrows is False:
+        non_edges = g.non_edges()
+        cut = _first_witness_refuted(base.witness, spec, non_edges)
+        for e in non_edges[:cut]:
+            budget = None if node_limit is None else node_limit - nodes
+            verdict = arrows(add_edge(g, e), spec, workers=workers, node_limit=budget)
+            nodes += verdict.stats.nodes
+            if verdict.arrows is not True:
+                verdict_value = verdict.arrows
+                if verdict.arrows is False:
+                    failing = e
+                break
+        else:
+            if cut < len(non_edges):
+                verdict_value = False
+                failing = non_edges[cut]
 
     return CocriticalReport(
         spec,
@@ -159,12 +148,10 @@ def is_cocritical(
         failing,
         base.witness if verdict_value else None,
         delta,
-        big_delta,
         chi,
         g.edge_count,
         ht_bound,
         meets_ht,
-        None,
         nodes,
     )
 
@@ -252,7 +239,6 @@ def check_lemma_1_5(
     *,
     coloring: EdgeColoring | None = None,
     include_d: bool = False,
-    workers: int = 1,
 ) -> list[LemmaFinding]:
     """Structural checks on an extremal critical coloring of a co-critical graph.
 
@@ -377,13 +363,13 @@ def check_lemma_1_5(
                     )
 
     if coloring_policy == MINIMIZE_FIRST and include_d and k >= 3:
-        findings.append(check_lemma_1_5d(g, spec, coloring, workers=workers))
+        findings.append(check_lemma_1_5d(g, spec, coloring))
 
     return findings
 
 
 def check_lemma_1_5d(
-    g: Graph, spec: CliqueVector, coloring: EdgeColoring, *, workers: int = 1
+    g: Graph, spec: CliqueVector, coloring: EdgeColoring
 ) -> LemmaFinding:
     """Dropping a minimum first color class must leave a co-critical graph."""
     if spec.k < 3:
@@ -394,7 +380,7 @@ def check_lemma_1_5d(
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
     reduced = Graph(g.n, tuple(adj))
-    sub_report = is_cocritical(reduced, spec.drop_first(), workers=workers)
+    sub_report = is_cocritical(reduced, spec.drop_first())
     return LemmaFinding(
         "1.5d",
         sub_report.is_cocritical is True,
@@ -412,12 +398,7 @@ def mindeg_assert(g: Graph, spec: CliqueVector) -> LemmaFinding:
 
 
 def lemma_suite(
-    g: Graph,
-    spec: CliqueVector,
-    *,
-    r: int | None = None,
-    include_d: bool = False,
-    workers: int = 1,
+    g: Graph, spec: CliqueVector, *, r: int | None = None
 ) -> list[LemmaFinding]:
     """All applicable structural checks for one co-critical graph.
 
@@ -432,9 +413,5 @@ def lemma_suite(
     if known is not None:
         findings.append(check_lemma_1_2(g, spec, known[0]))
     findings.append(mindeg_assert(g, spec))
-    findings.extend(check_lemma_1_5(g, spec, MAXIMIZE_LAST, workers=workers))
-    if include_d and spec.k >= 3:
-        findings.extend(
-            check_lemma_1_5(g, spec, MINIMIZE_FIRST, include_d=True, workers=workers)
-        )
+    findings.extend(check_lemma_1_5(g, spec, MAXIMIZE_LAST))
     return findings

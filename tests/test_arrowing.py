@@ -21,6 +21,7 @@ from rck.arrowing import (
     enumerate_critical_colorings,
     extremal_critical_coloring,
     is_critical,
+    ordered_map,
     parse_coloring,
     serialize_coloring,
     symmetry_breaking_seed,
@@ -166,6 +167,20 @@ class TestNodeBudget:
         assert all(v.indeterminate for v in verdicts)
         one, two = (v.stats for v in verdicts)
         assert (one.nodes, one.max_depth) == (two.nodes, two.max_depth)
+
+
+class TestOrderedMap:
+    def test_one_worker_is_lazy(self):
+        seen = []
+        results = ordered_map(seen.append, [1, 2, 3], 1)
+        assert seen == []
+        next(results)
+        assert seen == [1]
+
+    def test_pool_keeps_input_order(self):
+        jobs = list(range(-40, 40, 3))
+        assert list(ordered_map(abs, jobs, 2)) == [abs(j) for j in jobs]
+
 
 # Runs K9, HT(3,4) n=9 and HT(3,4) n=10 in the order given on the command
 # line, in a fresh interpreter, and prints each verdict with its node count.

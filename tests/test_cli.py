@@ -232,8 +232,13 @@ class TestWorkerDispatch:
 
     @pytest.mark.parametrize(
         "command",
-        [["saturated", "--t", "4"], ["cocritical", "--spec", "3,3"], ["arrow", "--spec", "3,3"]],
-        ids=lambda command: command[0],
+        [
+            ["saturated", "--t", "4"],
+            ["cocritical", "--spec", "3,3"],
+            ["arrow", "--spec", "3,3"],
+            ["cocritical", "--spec", "3,3", "--lemmas", "--minimal"],
+        ],
+        ids=["saturated", "cocritical", "arrow", "cocritical-lemmas-minimal"],
     )
     def test_records_do_not_depend_on_workers(self, corpus, command):
         graphs = corpus[6]
@@ -267,6 +272,22 @@ class TestConfig:
         monkeypatch.setenv("RCK_WORKERS", "many")
         code, _ = invoke(["arrow", "--spec", "3,3", "--construct", "kn:3"])
         assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize(
+        "env, flag", [("0", []), (None, ["--workers", "0"])], ids=["env", "flag"]
+    )
+    def test_workers_below_one_rejected(self, monkeypatch, env, flag):
+        if env is not None:
+            monkeypatch.setenv("RCK_WORKERS", env)
+        code, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:3", *flag])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+
+    def test_negative_node_limit_rejected(self, capsys):
+        code, out = invoke([
+            "arrow", "--spec", "3,3", "--construct", "kn:6", "--node-limit", "-5",
+        ])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == "error: node limit must be at least 0\n"
 
     def test_unknown_construction(self):
         code, _ = invoke(["arrow", "--spec", "3,3", "--construct", "webgraph:9"])

@@ -65,9 +65,10 @@ class TestIsSaturated:
         assert report.is_free == (not has_clique(g, t))
         if report.is_saturated:
             assert report.is_free
-        if report.violating_non_edge is not None:
-            assert report.is_free and not report.is_saturated
-            assert not has_clique(add_edge(g, report.violating_non_edge), t)
+        # The least non-edge whose addition keeps g K_t-free, if g is free.
+        keeps_free = [e for e in g.non_edges() if not has_clique(add_edge(g, e), t)]
+        expect = keeps_free[0] if report.is_free and keeps_free else None
+        assert report.violating_non_edge == expect
 
 
 class TestHajnal:
