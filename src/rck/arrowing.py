@@ -2,28 +2,24 @@
 
 Decides whether every k-edge coloring of a graph contains a monochromatic
 K_{t_ell} in some color ell, by depth-first search over edge colorings that
-keeps a feasible-color mask per uncolored edge (forward checking) and
-branches on the edge with the fewest feasible colors.  Negative verdicts
-carry a verified critical coloring as witness.
+keeps a feasible-color mask per uncolored edge (forward checking),
+branches on the edge with the fewest feasible colors, and breaks the
+symmetries of equal targets and twin vertices.  Negative verdicts carry a
+verified critical coloring as witness.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import islice
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .graphs import Edge, Graph, complete_graph, mask_has_clique
+from .graphs import Edge, Graph, bits, mask_has_clique
 
 MAX_COLORS = 4
 ENUMERATION_EDGE_LIMIT = 40
-SPLIT_EDGE_THRESHOLD = 20
-DEFAULT_SPLIT_DEPTH = 2
 
-# Ramsey numbers small enough to re-prove by search.  arrows() treats a value
-# only as a hint: it certifies a supergraph of K_r after a search in the same
-# process has proved that K_r itself arrows.
+# Ramsey numbers small enough to re-prove by search.
 VERIFIED_RAMSEY = {(3, 3): 6, (3, 4): 9}
 
 
@@ -81,9 +77,6 @@ class EdgeColoring:
         if any(not 1 <= c <= self.k for c in self.colors):
             raise ValueError(f"colors must lie in 1..{self.k}")
 
-    def edges(self) -> list[Edge]:
-        return self.host.edges()
-
     def color_class(self, ell: int) -> Graph:
         """Spanning subgraph whose edges are exactly those of color ell."""
         return Graph(self.host.n, tuple(self.class_adj(ell)))
@@ -93,7 +86,7 @@ class EdgeColoring:
 
     def class_adj(self, ell: int) -> list[int]:
         adj = [0] * self.host.n
-        for (u, v), c in zip(self.host.edges(), self.colors):
+        for (u, v), c in zip(self.host.edges, self.colors):
             if c == ell:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
@@ -151,7 +144,7 @@ def symmetry_breaking_seed(
     edge is branched on.  Restricted and unrestricted searches agree on the
     verdict.
     """
-    edges = g.edges()
+    edges = g.edges
     if not edges:
         return []
     reps: list[int] = []
@@ -163,6 +156,26 @@ def symmetry_breaking_seed(
     if len(reps) < spec.k:
         return [(edges[0], tuple(reps))]
     return []
+
+
+def twin_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Consecutive members (a, b), a < b, of every class of twin vertices.
+
+    Twins u, w have N(u) - {w} = N(w) - {u}: the same open neighborhood
+    when they are not adjacent, the same closed one when they are.  Either
+    way swapping them is an automorphism of g.  The last vertex seen with
+    the same neighborhood is the previous member of the class.
+    """
+    last_open: dict[int, int] = {}
+    last_closed: dict[int, int] = {}
+    pairs = []
+    for v, nbrs in enumerate(g.adj):
+        for last, key in ((last_open, nbrs), (last_closed, nbrs | 1 << v)):
+            prev = last.get(key)
+            if prev is not None:
+                pairs.append((prev, v))
+            last[key] = v
+    return pairs
 
 
 # dom[i] holds bit ell for each color ell that edge i can still take.  A
@@ -186,17 +199,25 @@ class _Search:
     Haralick & Elliott 1980).  assign() removes the assigned color from the
     masks of the edges it newly blocks and reports a wipe-out, an uncolored
     edge left with an empty mask; unassign() restores the masks from a trail.
+
+    Each twin pair (a, b) from twins adds a lex-leader constraint
+    (Crawford, Ginsberg, Luks & Roy 1996; Codish, Miller, Prosser & Stuckey
+    2019): the color word must be at most its image under the swap of a and
+    b, which exchanges the edges ax and bx for each other neighbor x of a.
+    Every orbit of critical colorings under the automorphisms keeps its
+    least word, so verdicts and class-size optima are unchanged; assign()
+    reports a broken constraint as a wipe-out.
     """
 
     __slots__ = (
         "n", "edges", "m", "k", "targets", "adjc", "colors", "uncolored",
         "nodes", "max_depth", "node_limit", "dom", "eid", "hadj", "trail",
-        "marks",
+        "marks", "lex",
     )
 
-    def __init__(self, g, spec, seed=(), node_limit=None):
+    def __init__(self, g, spec, seed=(), node_limit=None, twins=()):
         self.n = g.n
-        self.edges = g.edges()
+        self.edges = g.edges
         self.m = len(self.edges)
         self.k = spec.k
         self.targets = spec.sizes
@@ -224,6 +245,19 @@ class _Search:
             self.dom[self.eid[u][v]] &= restricted
         self.trail: list[int] = []
         self.marks: list[int] = []
+        # lex[i] lists, for each twin swap that moves edge i, the moved edge
+        # pairs (ax, bx) by increasing x.  Both edges of a pair sort by their
+        # other endpoint x, so the pairs are in edge order.
+        self.lex = None
+        if twins:
+            self.lex = [[] for _ in range(self.m)]
+            for a, b in twins:
+                row_a, row_b = self.eid[a], self.eid[b]
+                others = g.adj[a] & ~(1 << b)
+                pairs = tuple((row_a[x], row_b[x]) for x in bits(others))
+                for i, j in pairs:
+                    self.lex[i].append(pairs)
+                    self.lex[j].append(pairs)
 
     def select(self) -> int:
         """Uncolored edge with the fewest feasible colors, lowest index on ties.
@@ -271,7 +305,8 @@ class _Search:
         Only two kinds of uncolored edge xy can gain a K_{t_ell} through the
         new edge uv: those sharing an endpoint with it (x = u and vy already
         in color ell, or the reverse), and for t_ell >= 4 those inside the
-        common ell-neighborhood of u and v.
+        common ell-neighborhood of u and v.  Then each lex-leader constraint
+        on edge i is checked.
         """
         u, v = self.edges[i]
         dom = self.dom
@@ -297,7 +332,28 @@ class _Search:
                 pairs = rest & hadj[x]
                 if pairs:
                     wiped |= self._block(ell, a, pairs, x, common & a[x], need - 1)
-        return wiped
+        if wiped or self.lex is None:
+            return wiped
+        return self._breaks_lex_order(i)
+
+    def _breaks_lex_order(self, i: int) -> bool:
+        """True iff the colors decided so far break a constraint moving edge i.
+
+        The first moved pair whose colors differ decides the comparison, so
+        each walk stops at the first pair that is undecided or unequal.
+        """
+        colors = self.colors
+        for pairs in self.lex[i]:
+            for p, q in pairs:
+                cp = colors[p]
+                cq = colors[q]
+                if cp != cq:
+                    if cp > cq > 0:
+                        return True
+                    break
+                if not cp:
+                    break
+        return False
 
     def unassign(self, i: int) -> None:
         """Undo the latest assign(), which must have colored edge i."""
@@ -339,36 +395,6 @@ class _Search:
             if word is not None:
                 return word
         return None
-
-    def split(self, depth: int):
-        """The top depth levels of decide()'s tree, walked without ticking.
-
-        Returns (prefixes, completed) in DFS order: the assignment sequence
-        of every open node at that depth, and the words colored completely
-        above it.  Replaying a prefix with assign() rebuilds the same masks,
-        so each subproblem continues exactly as decide() would.
-        """
-        prefixes: list[tuple[tuple[int, int], ...]] = []
-        completed: list[tuple[int, ...]] = []
-        path: list[tuple[int, int]] = []
-
-        def down(level: int) -> None:
-            if self.uncolored == 0:
-                completed.append(tuple(self.colors))
-                return
-            if level == depth:
-                prefixes.append(tuple(path))
-                return
-            i = self.select()
-            for ell in _DOMAIN_COLORS[self.dom[i]]:
-                if not self.assign(i, ell):
-                    path.append((i, ell))
-                    down(level + 1)
-                    path.pop()
-                self.unassign(i)
-
-        down(0)
-        return prefixes, completed
 
     def optimum(self, color: int, maximizing: bool) -> tuple[int, ...] | None:
         """Critical color word with the extreme number of color edges, or None.
@@ -416,7 +442,8 @@ class _Search:
         """Yield every critical color word in lexicographic order.
 
         Colors the edges in their static order and prunes only on wipe-out,
-        so the output is the lexicographic list of all critical words.
+        so without seed or twins the output is the lexicographic list of all
+        critical words.
         """
         dom = self.dom
 
@@ -444,6 +471,10 @@ def ordered_map(fn, jobs: list, workers: int):
     """
     if workers < 2 or len(jobs) < 2:
         return map(fn, jobs)
+    # Imported here because it loads multiprocessing, which a run with one
+    # worker never uses, and that import is a large share of start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(jobs) // (8 * workers))
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
@@ -452,136 +483,40 @@ def ordered_map(fn, jobs: list, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _solve_decision_subproblem(args):
-    g, spec, seed, prefix, node_limit = args
-    s = _Search(g, spec, seed, node_limit)
-    for i, ell in prefix:
-        s.assign(i, ell)
-    try:
-        word = s.decide()
-    except NodeLimitExceeded:
-        word = None
-    return word, s.nodes, s.max_depth
-
-
-def _default_split_depth(g: Graph) -> int:
-    return DEFAULT_SPLIT_DEPTH if g.edge_count > SPLIT_EDGE_THRESHOLD else 0
-
-
-def _search_verdict(g, spec, workers, node_limit, split_depth, symmetry_breaking, t0):
-    """Run the subproblems and sum their nodes in input order.
-
-    Each subproblem runs under the whole node_limit, so its count up to the
-    limit does not depend on the worker count.  The verdict is indeterminate
-    as soon as the running sum passes the limit, witness or not.
-    """
-    seed = symmetry_breaking_seed(g, spec) if symmetry_breaking else []
-    if split_depth <= 0:
-        prefixes, words = [()], []
-    else:
-        prefixes, words = _Search(g, spec, seed).split(split_depth)
-    jobs = [(g, spec, seed, p, node_limit) for p in prefixes]
-    results = ordered_map(_solve_decision_subproblem, jobs, workers)
-    nodes = max_depth = 0
-    limited = False
-    for word, sub_nodes, sub_depth in results:
-        nodes += sub_nodes
-        max_depth = max(max_depth, sub_depth)
-        if node_limit is not None and nodes > node_limit:
-            limited = True
-            break
-        if word is not None:
-            words.append(word)
-
-    stats = SearchStats(nodes, max_depth, time.perf_counter() - t0)
-    if limited:
-        return ArrowVerdict(None, None, stats)
-    if words:
-        witness = EdgeColoring(g, min(words), spec.k)
-        if not is_critical(g, witness, spec):
-            raise AssertionError("search produced an invalid witness")
-        return ArrowVerdict(False, witness, stats)
-    return ArrowVerdict(True, None, stats)
-
-
-# Determinate verdicts of arrows(K_r, spec) for r = VERIFIED_RAMSEY[spec.sizes],
-# keyed by (spec.sizes, effective split depth, symmetry_breaking) because the
-# node count depends on both.  Filled lazily by arrows(), never at import.
-_RAMSEY_CLIQUE_VERDICTS: dict[tuple, ArrowVerdict] = {}
-
-
-def _within_budget(verdict: ArrowVerdict, node_limit: int | None) -> bool:
-    # A search under node_limit returns this verdict whenever it fits, so a
-    # memoised result used under this test is what a fresh search would give.
-    return node_limit is None or verdict.stats.nodes <= node_limit
-
-
-def _has_clique_of_order(g: Graph, r: int) -> bool:
-    """True iff g contains K_r; only vertices of degree >= r-1 can lie in one."""
-    cand = 0
-    for v, nbrs in enumerate(g.adj):
-        if nbrs.bit_count() >= r - 1:
-            cand |= 1 << v
-    return cand.bit_count() >= r and mask_has_clique(g.adj, cand, r)
-
-
 def arrows(
     g: Graph,
     spec: CliqueVector,
     *,
     workers: int = 1,
     node_limit: int | None = None,
-    split_depth: int | None = None,
     symmetry_breaking: bool = True,
 ) -> ArrowVerdict:
     """Decide whether every spec.k-edge coloring of g has a monochromatic target.
 
-    The top split_depth levels of the tree become independent subproblems
-    (default 2 when the graph has more than 20 edges, else 0); each runs to
-    completion, so verdict, witness, and statistics do not depend on the
-    worker count.  The witness is the lexicographically least color word
-    among the subproblem witnesses and is re-verified before returning.
-    node_limit bounds the nodes of all subproblems together: past it the
-    verdict is indeterminate.
-
-    Monotonicity certificate: arrowing is preserved under supergraphs.  When
-    VERIFIED_RAMSEY holds a hint r for spec and g has more than r vertices
-    and contains K_r, the verdict for K_r is looked up in a per-process memo
-    (filled by an ordinary search under the same node_limit when empty).  If
-    that search proved K_r arrows within node_limit, g arrows, and the
-    verdict reports 0 nodes.  A direct call on K_r returns its memoised
-    verdict.  Either way the result depends only on the arguments, not on
-    what ran earlier in the process.
+    One search decides; past node_limit nodes the verdict is indeterminate.
+    The witness is the first critical coloring found and is re-verified
+    before returning.  symmetry_breaking adds the color seed and the twin
+    lex-leader constraints, which change the witness and the node count but
+    never the verdict.  workers is accepted for compatibility and unused.
     """
     t0 = time.perf_counter()
-    if split_depth is None:
-        split_depth = _default_split_depth(g)
-    r = VERIFIED_RAMSEY.get(spec.sizes)
-    if r is not None and g.n > r and _has_clique_of_order(g, r):
-        # Read the memo directly: a stored proof over the budget must not
-        # send a bounded search over K_r again.
-        kr = complete_graph(r)
-        proof = _RAMSEY_CLIQUE_VERDICTS.get((spec.sizes, _default_split_depth(kr), True))
-        if proof is None:
-            proof = arrows(kr, spec, workers=workers, node_limit=node_limit)
-        if proof.arrows is True and _within_budget(proof, node_limit):
-            elapsed = time.perf_counter() - t0
-            return ArrowVerdict(True, None, SearchStats(0, 0, elapsed))
-
-    memo_key = None
-    if r is not None and g.n == r and g.is_complete():
-        memo_key = (spec.sizes, split_depth, symmetry_breaking)
-        memo = _RAMSEY_CLIQUE_VERDICTS.get(memo_key)
-        if memo is not None and _within_budget(memo, node_limit):
-            elapsed = time.perf_counter() - t0
-            return replace(memo, stats=replace(memo.stats, wall_time=elapsed))
-
-    verdict = _search_verdict(
-        g, spec, workers, node_limit, split_depth, symmetry_breaking, t0
-    )
-    if memo_key is not None and not verdict.indeterminate:
-        _RAMSEY_CLIQUE_VERDICTS[memo_key] = verdict
-    return verdict
+    if symmetry_breaking:
+        s = _Search(g, spec, symmetry_breaking_seed(g, spec), node_limit, twin_pairs(g))
+    else:
+        s = _Search(g, spec, node_limit=node_limit)
+    verdict = None
+    try:
+        word = s.decide()
+        verdict = word is None
+    except NodeLimitExceeded:
+        pass
+    stats = SearchStats(s.nodes, s.max_depth, time.perf_counter() - t0)
+    if verdict is not False:
+        return ArrowVerdict(verdict, None, stats)
+    witness = EdgeColoring(g, word, spec.k)
+    if not is_critical(g, witness, spec):
+        raise AssertionError("search produced an invalid witness")
+    return ArrowVerdict(False, witness, stats)
 
 
 def extremal_critical_coloring(
@@ -595,15 +530,18 @@ def extremal_critical_coloring(
     """Critical coloring attaining the exact optimum of |E_color|, or None.
 
     mode "max" maximizes and "min" minimizes the size of that color class
-    over all critical colorings.  No symmetry breaking: color swaps do not
-    preserve the objective.  Raises NodeLimitExceeded when a node budget is
-    given and runs out; an optimum is never guessed.
+    over all critical colorings.  The search keeps the twin lex-leader
+    constraints, since vertex automorphisms preserve class sizes, but not
+    the color seed: color swaps do not preserve the objective.  Raises
+    NodeLimitExceeded when a node budget is given and runs out; an optimum
+    is never guessed.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
     if not 1 <= color <= spec.k:
         raise ValueError(f"objective color {color} outside 1..{spec.k}")
-    word = _Search(g, spec, (), node_limit).optimum(color, mode == "max")
+    s = _Search(g, spec, (), node_limit, twin_pairs(g))
+    word = s.optimum(color, mode == "max")
     return None if word is None else EdgeColoring(g, word, spec.k)
 
 

@@ -13,6 +13,7 @@ error, 3 node budget exceeded (indeterminate).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -194,24 +195,24 @@ def _worse_exit(a: int, b: int) -> int:
 
 
 def _stream_records(cfg: argparse.Namespace, record) -> list:
-    """record(cfg, workers, line) per input line, in input order.
+    """record(cfg, line) per input line, in input order.
 
-    This decides where the workers go.  With two or more input graphs they
-    form one ordered pool across the graphs, and each record runs with one
-    worker.  A single graph runs inline with all the workers to use inside
-    its own search.  Either way the records are identical.  A record that
-    raises (a bad input line) stops the run before any record is emitted.
+    The workers form one ordered pool across the input graphs, so the
+    records do not depend on their number.  A record that raises (a bad
+    input line) stops the run before any record is emitted.
     """
     lines = list(load_inputs(cfg))
-    inner = 1 if len(lines) > 1 else cfg.workers
-    return list(ordered_map(partial(record, cfg, inner), lines, cfg.workers))
+    return list(ordered_map(partial(record, cfg), lines, cfg.workers))
 
 
-def _arrow_record(cfg: argparse.Namespace, workers: int, line: str) -> tuple[dict, int]:
+def _chi(g: Graph) -> int | None:
+    return chromatic_number(g) if g.n <= CHROMATIC_MAX_VERTICES else None
+
+
+def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
     g = _parse_line(line)
-    verdict = arrows(g, cfg.spec, workers=workers, node_limit=cfg.node_limit)
-    chi = chromatic_number(g) if g.n <= CHROMATIC_MAX_VERTICES else None
-    record = _record_base(g, cfg.spec, chi)
+    verdict = arrows(g, cfg.spec, node_limit=cfg.node_limit)
+    record = _record_base(g, cfg.spec, _chi(g))
     record["verdict"] = verdict.arrows
     record["stats"] = {
         "nodes": verdict.stats.nodes,
@@ -225,14 +226,20 @@ def _arrow_record(cfg: argparse.Namespace, workers: int, line: str) -> tuple[dic
     return record, code
 
 
-def _cocritical_record(
-    cfg: argparse.Namespace, workers: int, line: str
-) -> tuple[dict, int]:
+def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
     g = _parse_line(line)
     spec = cfg.spec
     if g.is_complete():
-        raise InputError(f"graph {to_graph6(g)} is complete; co-criticality undefined")
-    report = is_cocritical(g, spec, workers=workers, node_limit=cfg.node_limit)
+        # Co-criticality excludes complete graphs, as scan counts them.
+        record = _record_base(g, spec, _chi(g))
+        record["verdict"] = False
+        record["failing_edge"] = None
+        ht = record["ht_bound"]
+        record["meets_ht"] = None if ht is None else g.edge_count >= ht
+        record["minimal"] = None
+        record["stats"] = {"nodes": 0}
+        return record, EXIT_OK
+    report = is_cocritical(g, spec, node_limit=cfg.node_limit)
     record = _record_base(g, spec, report.chi)
     record["verdict"] = report.is_cocritical
     record["failing_edge"] = list(report.failing_edge) if report.failing_edge else None
@@ -244,9 +251,7 @@ def _cocritical_record(
     code = EXIT_INDETERMINATE if report.is_cocritical is None else EXIT_OK
     if report.is_cocritical:
         if cfg.minimal:
-            record["minimal"] = is_minimal_cocritical(
-                g, spec, report=report, workers=workers
-            )
+            record["minimal"] = is_minimal_cocritical(g, spec, report=report)
         if cfg.lemmas:
             findings = lemma_suite(g, spec)
             record["lemmas"] = [asdict(f) for f in findings]
@@ -255,11 +260,11 @@ def _cocritical_record(
     return record, code
 
 
-def _scan_graph(cfg: argparse.Namespace, workers: int, line: str):
+def _scan_graph(cfg: argparse.Namespace, line: str):
     g = _parse_line(line)
     if g.is_complete():
         return False, None, 0  # co-criticality excludes complete graphs
-    report = is_cocritical(g, cfg.spec, workers=workers, node_limit=cfg.node_limit)
+    report = is_cocritical(g, cfg.spec, node_limit=cfg.node_limit)
     if report.is_cocritical is not True:
         return report.is_cocritical, None, report.nodes
     findings = lemma_suite(g, cfg.spec)
@@ -320,9 +325,7 @@ def cmd_scan(cfg: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def _saturated_record(
-    cfg: argparse.Namespace, _workers: int, line: str
-) -> tuple[dict, int]:
+def _saturated_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
     g = _parse_line(line)
     report = is_saturated(g, cfg.t)
     record = {
@@ -369,10 +372,14 @@ def run(argv, out) -> int:
     try:
         cfg = parse_config(argv)
         handler = cmd_scan if cfg.subcommand == "scan" else cmd_records
-        if cfg.report_path:
-            with open(cfg.report_path, "w") as report:
-                return handler(cfg, _Tee(out, report))
-        return handler(cfg, out)
+        if not cfg.report_path:
+            return handler(cfg, out)
+        # Written only once every record is ready, so an input error leaves
+        # an existing report as it was.
+        report = io.StringIO()
+        code = handler(cfg, _Tee(out, report))
+        Path(cfg.report_path).write_text(report.getvalue())
+        return code
     except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -110,8 +110,9 @@ def is_cocritical(
     base witness refutes with one more colored edge is found without
     search, so only the non-edges before e* are searched, in lexicographic
     order, stopping at the first that does not arrow; if all of them arrow,
-    e* is the failing edge.  Each extension search gets the workers and the
-    part of node_limit that the searches before it left.
+    e* is the failing edge.  Each extension search gets the part of
+    node_limit that the searches before it left.  workers is accepted for
+    compatibility and unused.
     """
     if g.is_complete():
         raise ValueError("co-criticality is defined for non-complete graphs")
@@ -121,7 +122,7 @@ def is_cocritical(
     ht_bound = hanson_toft_edge_count(known[0], g.n) if known else None
     meets_ht = (g.edge_count >= ht_bound) if ht_bound is not None else None
 
-    base = arrows(g, spec, node_limit=node_limit, split_depth=0)
+    base = arrows(g, spec, node_limit=node_limit)
     nodes = base.stats.nodes
     verdict_value = None if base.arrows is None else not base.arrows
     failing: Edge | None = None
@@ -130,7 +131,7 @@ def is_cocritical(
         cut = _first_witness_refuted(base.witness, spec, non_edges)
         for e in non_edges[:cut]:
             budget = None if node_limit is None else node_limit - nodes
-            verdict = arrows(add_edge(g, e), spec, workers=workers, node_limit=budget)
+            verdict = arrows(add_edge(g, e), spec, node_limit=budget)
             nodes += verdict.stats.nodes
             if verdict.arrows is not True:
                 verdict_value = verdict.arrows
@@ -161,18 +162,17 @@ def is_minimal_cocritical(
     spec: CliqueVector,
     *,
     report: CocriticalReport | None = None,
-    workers: int = 1,
 ) -> bool:
     """True iff deleting any single vertex destroys co-criticality."""
     if report is None:
-        report = is_cocritical(g, spec, workers=workers)
+        report = is_cocritical(g, spec)
     if report.is_cocritical is not True:
         raise ValueError("minimality is only defined for co-critical graphs")
     for v in range(g.n):
         sub = delete_vertex(g, v)
         if sub.is_complete():
             continue  # complete graphs are never co-critical
-        if is_cocritical(sub, spec, workers=workers).is_cocritical:
+        if is_cocritical(sub, spec).is_cocritical:
             return False
     return True
 
@@ -375,7 +375,7 @@ def check_lemma_1_5d(
     if spec.k < 3:
         raise ValueError("the reduction check needs at least three colors")
     adj = list(g.adj)
-    for (u, v), c in zip(g.edges(), coloring.colors):
+    for (u, v), c in zip(g.edges, coloring.colors):
         if c == 1:
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)

@@ -50,9 +50,7 @@ def known_ramsey(spec: CliqueVector, user_r: int | None = None) -> tuple[int, st
     return None
 
 
-def ramsey_fact(
-    spec: CliqueVector, *, verify: bool = True, workers: int = 1
-) -> RamseyFact:
+def ramsey_fact(spec: CliqueVector, *, verify: bool = True) -> RamseyFact:
     """Ramsey number for the given clique vector; verified mode re-runs both searches.
 
     Verified mode checks K_r arrows and K_{r-1} does not, storing the
@@ -66,8 +64,8 @@ def ramsey_fact(
                 "use verify=False for cited values"
             )
         r = VERIFIED_RAMSEY[key]
-        upper: ArrowVerdict = arrows(complete_graph(r), spec, workers=workers)
-        lower: ArrowVerdict = arrows(complete_graph(r - 1), spec, workers=workers)
+        upper: ArrowVerdict = arrows(complete_graph(r), spec)
+        lower: ArrowVerdict = arrows(complete_graph(r - 1), spec)
         if upper.arrows is not True or lower.arrows is not False:
             raise AssertionError(f"stored Ramsey value r({spec})={r} failed re-verification")
         return RamseyFact(spec, r, "verified-by-search", lower.witness)

@@ -8,6 +8,7 @@ mask arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 MAX_VERTICES = 32
 CHROMATIC_MAX_VERTICES = 16
@@ -59,17 +60,18 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
-    def edges(self) -> list[Edge]:
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
         """All edges (u, v) with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
-                out.append((u, v))
-        return out
+        return tuple(
+            (u, v)
+            for u in range(self.n)
+            for v in bits(self.adj[u] >> (u + 1) << (u + 1))
+        )
 
     def non_edges(self) -> list[Edge]:
         """All non-adjacent pairs (u, v) with u < v, in lexicographic order."""

@@ -34,7 +34,7 @@ def subsets_independence_number(g: Graph) -> int:
 def assignments_chromatic_number(g: Graph) -> int:
     for k in range(1, g.n + 1):
         for assignment in product(range(k), repeat=g.n):
-            if all(assignment[u] != assignment[v] for u, v in g.edges()):
+            if all(assignment[u] != assignment[v] for u, v in g.edges):
                 return k
     raise AssertionError("unreachable")
 
@@ -42,11 +42,11 @@ def assignments_chromatic_number(g: Graph) -> int:
 def permutation_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    g_edges = set(g.edges())
+    g_edges = set(g.edges)
     for perm in permutations(range(h.n)):
         mapped = {
             (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-            for u, v in h.edges()
+            for u, v in h.edges
         }
         if mapped == g_edges:
             return True
@@ -55,7 +55,7 @@ def permutation_isomorphic(g: Graph, h: Graph) -> bool:
 
 def clique_edge_masks(g: Graph, t: int) -> list[int]:
     """Edge-index masks of every K_t subgraph of g."""
-    edges = g.edges()
+    edges = g.edges
     index = {e: i for i, e in enumerate(edges)}
     masks = []
     for combo in combinations(range(g.n), t):

@@ -25,12 +25,14 @@ from rck.arrowing import (
     parse_coloring,
     serialize_coloring,
     symmetry_breaking_seed,
+    twin_pairs,
 )
+from rck.constructions import hanson_toft
 from rck.graphs import (
     add_edge,
-    clique_number,
     complement,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     empty_graph,
     join,
@@ -46,7 +48,7 @@ S35 = CliqueVector((3, 5))
 def c5_coloring_of_k5() -> EdgeColoring:
     k5 = complete_graph(5)
     red = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
-    return EdgeColoring(k5, tuple(1 if e in red else 2 for e in k5.edges()), 2)
+    return EdgeColoring(k5, tuple(1 if e in red else 2 for e in k5.edges), 2)
 
 
 class TestCliqueVector:
@@ -95,6 +97,28 @@ class TestIsCritical:
             EdgeColoring(k3, (1, 1, 3), 2)  # color out of range
 
 
+# Runs K9, HT(3,4) n=9 and HT(3,4) n=10 in the order given on the command
+# line, in a fresh interpreter, and prints each verdict with its node count.
+_ORDER_SCRIPT = """
+import json, sys
+from rck.arrowing import CliqueVector, arrows
+from rck.cocritical import is_cocritical
+from rck.constructions import hanson_toft
+from rck.graphs import complete_graph
+
+S34 = CliqueVector((3, 4))
+out = {}
+for name in sys.argv[1:]:
+    if name == "K9":
+        v = arrows(complete_graph(9), S34)
+        out[name] = [v.arrows, v.stats.nodes, v.stats.max_depth]
+    else:
+        r = is_cocritical(hanson_toft(S34, int(name[2:])), S34)
+        out[name] = [r.is_cocritical, r.nodes]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
 class TestArrows:
     def test_k6_arrows_and_k5_does_not(self):
         assert arrows(complete_graph(6), S33).arrows is True
@@ -134,7 +158,7 @@ class TestArrows:
             assert arrows(add_edge(sup, e), S33).arrows is True
 
     def test_determinism_across_runs_and_workers(self):
-        g = complete_graph(8)  # 28 edges: split decomposition active
+        g = complete_graph(8)
         first = arrows(g, S34, workers=1)
         second = arrows(g, S34, workers=1)
         third = arrows(g, S34, workers=2)
@@ -143,93 +167,10 @@ class TestArrows:
         assert first.stats.nodes == second.stats.nodes == third.stats.nodes
         assert first.stats.max_depth == third.stats.max_depth
 
-
-
-class TestNodeBudget:
-    """node_limit bounds the nodes of all split subproblems together."""
-
-    def test_witness_past_the_limit_is_indeterminate(self):
-        # K8 (3,4) has 28 edges, so it splits; its witness takes 175 nodes.
-        g = complete_graph(8)
-        for workers in (1, 2):
-            assert arrows(g, S34, workers=workers, node_limit=175).arrows is False
-            verdict = arrows(g, S34, workers=workers, node_limit=100)
-            assert verdict.indeterminate and verdict.witness is None
-            assert verdict.stats.nodes > 100
-
-    def test_proof_past_the_limit_is_indeterminate(self):
-        # Each subproblem of K9 (3,4) fits 50,000 nodes; all of them, 94,353,
-        # do not.  The running sum stops at the same subproblem either way.
-        verdicts = [
-            arrows(complete_graph(9), S34, workers=workers, node_limit=50_000)
-            for workers in (1, 2)
-        ]
-        assert all(v.indeterminate for v in verdicts)
-        one, two = (v.stats for v in verdicts)
-        assert (one.nodes, one.max_depth) == (two.nodes, two.max_depth)
-
-
-class TestOrderedMap:
-    def test_one_worker_is_lazy(self):
-        seen = []
-        results = ordered_map(seen.append, [1, 2, 3], 1)
-        assert seen == []
-        next(results)
-        assert seen == [1]
-
-    def test_pool_keeps_input_order(self):
-        jobs = list(range(-40, 40, 3))
-        assert list(ordered_map(abs, jobs, 2)) == [abs(j) for j in jobs]
-
-
-# Runs K9, HT(3,4) n=9 and HT(3,4) n=10 in the order given on the command
-# line, in a fresh interpreter, and prints each verdict with its node count.
-_ORDER_SCRIPT = """
-import json, sys
-from rck.arrowing import CliqueVector, arrows
-from rck.cocritical import is_cocritical
-from rck.constructions import hanson_toft
-from rck.graphs import complete_graph
-
-S34 = CliqueVector((3, 4))
-out = {}
-for name in sys.argv[1:]:
-    if name == "K9":
-        v = arrows(complete_graph(9), S34)
-        out[name] = [v.arrows, v.stats.nodes, v.stats.max_depth]
-    else:
-        r = is_cocritical(hanson_toft(S34, int(name[2:])), S34)
-        out[name] = [r.is_cocritical, r.nodes]
-print(json.dumps(out, sort_keys=True))
-"""
-
-
-class TestRamseyCliqueCertificate:
-    ORACLE_EDGE_LIMIT = 16  # brute force checks 2^m colorings
-
-    def test_certified_verdicts_match_plain_search_and_oracle(self, corpus):
-        checked = oracle_checked = 0
-        for n in (7, 8):
-            for g in corpus[n]:
-                if clique_number(g) < 6:
-                    continue
-                verdict = arrows(g, S33)
-                assert verdict.arrows is True and verdict.stats.nodes == 0
-                assert _Search(g, S33).decide() is None
-                if g.edge_count <= self.ORACLE_EDGE_LIMIT:
-                    assert brute_arrows(g, S33)
-                    oracle_checked += 1
-                checked += 1
-        assert (checked, oracle_checked) == (95, 5)
-
-    def test_node_limit_indeterminate_before_and_after_memo_fill(self):
-        g = join(complete_graph(6), complete_graph(1))
-        assert arrows(g, S33, node_limit=5).indeterminate
-        assert arrows(g, S33).arrows is True
-        assert arrows(complete_graph(6), S33).stats.nodes > 5
-        assert arrows(g, S33, node_limit=5).indeterminate
-
     def test_counts_do_not_depend_on_call_order(self):
+        # Every HT(3,4) extension holds a K9.  Each search counts its own
+        # nodes, so no verdict reuses an uncounted proof made earlier in
+        # the process.
         names = ["K9", "HT9", "HT10"]
         orders = [names[i:] + names[:i] for i in range(len(names))]
         results = [
@@ -246,10 +187,42 @@ class TestRamseyCliqueCertificate:
         ]
         assert results[0] == results[1] == results[2]
         assert results[0] == {
-            "HT10": [True, 72],
-            "HT9": [True, 94413],
-            "K9": [True, 94353, 34],
+            "HT10": [True, 4945],
+            "HT9": [True, 270],
+            "K9": [True, 220, 30],
         }
+
+
+class TestNodeBudget:
+    """node_limit bounds the nodes of the search."""
+
+    def test_witness_past_the_limit_is_indeterminate(self):
+        # The K8 (3,4) witness takes 39 nodes.
+        g = complete_graph(8)
+        assert arrows(g, S34, node_limit=39).arrows is False
+        verdict = arrows(g, S34, node_limit=38)
+        assert verdict.indeterminate and verdict.witness is None
+        assert verdict.stats.nodes > 38
+
+    def test_proof_past_the_limit_is_indeterminate(self):
+        # The K9 (3,4) proof takes 220 nodes.
+        assert arrows(complete_graph(9), S34, node_limit=220).arrows is True
+        verdict = arrows(complete_graph(9), S34, node_limit=219)
+        assert verdict.indeterminate
+        assert (verdict.stats.nodes, verdict.stats.max_depth) == (220, 30)
+
+
+class TestOrderedMap:
+    def test_one_worker_is_lazy(self):
+        seen = []
+        results = ordered_map(seen.append, [1, 2, 3], 1)
+        assert seen == []
+        next(results)
+        assert seen == [1]
+
+    def test_pool_keeps_input_order(self):
+        jobs = list(range(-40, 40, 3))
+        assert list(ordered_map(abs, jobs, 2)) == [abs(j) for j in jobs]
 
 
 class TestSymmetryBreaking:
@@ -268,6 +241,59 @@ class TestSymmetryBreaking:
     def test_three_color_groups(self):
         seed = symmetry_breaking_seed(complete_graph(4), CliqueVector((3, 3, 4)))
         assert seed == [((0, 1), (1, 3))]
+
+    def test_twin_pairs(self):
+        assert twin_pairs(complete_graph(4)) == [(0, 1), (1, 2), (2, 3)]
+        assert twin_pairs(cycle_graph(5)) == []
+        # Part {0} is no twin; parts {1, 2} and {3, 4, 5} are independent.
+        km = complete_multipartite_graph((1, 2, 3))
+        assert twin_pairs(km) == [(1, 2), (3, 4), (4, 5)]
+        # The clique {0..3} of HT(3,3) n=7 and its stable set {4, 5, 6}.
+        assert twin_pairs(hanson_toft(S33, 7)) == [
+            (0, 1), (1, 2), (2, 3), (4, 5), (5, 6),
+        ]
+
+    @staticmethod
+    def outcomes(g, spec, twins):
+        """The verdict and the four optima |E_1|, |E_2| (max, min)."""
+        seed = symmetry_breaking_seed(g, spec)
+        arrowing = _Search(g, spec, seed, None, twins).decide() is None
+        optima = []
+        for color in (1, 2):
+            for maximizing in (True, False):
+                word = _Search(g, spec, (), None, twins).optimum(color, maximizing)
+                if word is not None:
+                    assert is_critical(g, EdgeColoring(g, word, spec.k), spec)
+                optima.append(None if word is None else word.count(color))
+        return arrowing, optima
+
+    def test_twin_constraints_keep_verdicts_and_optima(self, corpus):
+        specs = (S33, S34)
+        graphs = [(g, spec) for n in range(1, 8) for g in corpus[n] for spec in specs]
+        # Twin-rich graphs up to ten vertices.  HT(3,4) n=10 and the (3,4)
+        # case of K_{2,2,2,2,2} are left out: their unconstrained optima take
+        # over 15 s each.
+        rich = [complete_graph(n) for n in range(2, 11)]
+        rich += [hanson_toft(S33, n) for n in range(6, 11)]
+        parts = ((2, 2, 2, 2), (3, 3, 3), (1, 1, 2, 2, 2), (2, 2, 3, 3), (1, 3, 3, 3))
+        rich += [complete_multipartite_graph(p) for p in parts]
+        graphs += [(g, spec) for g in rich for spec in specs]
+        graphs += [
+            (hanson_toft(S34, 9), S34),
+            (complete_multipartite_graph((2,) * 5), S33),
+        ]
+        for g, spec in graphs:
+            twins = twin_pairs(g)
+            on = self.outcomes(g, spec, twins)
+            if not twins:
+                continue
+            if on[0]:
+                # No critical coloring: a plain decide() settles the optima too.
+                assert on[1] == [None] * 4
+                seed = symmetry_breaking_seed(g, spec)
+                assert _Search(g, spec, seed).decide() is None
+            else:
+                assert on == self.outcomes(g, spec, ()), g.adj
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(min_n=2, max_n=5, max_edges=12))
@@ -338,14 +364,15 @@ class TestSearchCore:
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(min_n=5, max_n=9, max_edges=14), st.sampled_from(SPECS))
     def test_full_runs_restore_the_initial_state(self, g, spec):
+        twins = twin_pairs(g)
         runs = [
-            (symmetry_breaking_seed(g, spec), lambda s: s.decide()),
-            ((), lambda s: s.optimum(1, True)),
-            ((), lambda s: s.optimum(spec.k, False)),
-            ((), lambda s: list(s.critical_words())),
+            (symmetry_breaking_seed(g, spec), twins, lambda s: s.decide()),
+            ((), twins, lambda s: s.optimum(1, True)),
+            ((), twins, lambda s: s.optimum(spec.k, False)),
+            ((), (), lambda s: list(s.critical_words())),
         ]
-        for seed, run in runs:
-            s = _Search(g, spec, seed)
+        for seed, twins, run in runs:
+            s = _Search(g, spec, seed, None, twins)
             initial = _search_state(s)
             run(s)
             assert s.trail == [] and s.marks == []

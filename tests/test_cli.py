@@ -110,6 +110,16 @@ class TestArrowCommand:
         assert code == EXIT_OK
         assert target.read_text() == out
 
+    def test_input_error_leaves_the_report_untouched(self, tmp_path):
+        target = tmp_path / "records.json"
+        target.write_text("earlier records\n")
+        stream = f"{to_graph6(cycle_graph(5))}\nnot-a-graph\n"
+        code, out = invoke(
+            ["arrow", "--spec", "3,3", "--report", str(target)], stdin_text=stream
+        )
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert target.read_text() == "earlier records\n"
+
 
 class TestCocriticalCommand:
     def test_k6minus_minimal(self):
@@ -132,9 +142,15 @@ class TestCocriticalCommand:
         assert rec["verdict"] is True
         assert rec["delta"] == 7
 
-    def test_complete_graph_is_input_error(self):
-        code, _ = invoke(["cocritical", "--spec", "3,3", "--construct", "kn:6"])
-        assert code == EXIT_INPUT_ERROR
+    def test_complete_graph_is_not_cocritical(self):
+        stream = f"{to_graph6(cycle_graph(5))}\n{to_graph6(complete_graph(6))}\n"
+        code, out = invoke(["cocritical", "--spec", "3,3"], stdin_text=stream)
+        assert code == EXIT_OK
+        c5, k6 = records(out)
+        assert (c5["verdict"], c5["failing_edge"]) == (False, [0, 2])
+        assert (k6["verdict"], k6["failing_edge"]) == (False, None)
+        assert k6["chi"] == 6 and k6["stats"] == {"nodes": 0}
+        assert list(k6) == list(c5)
 
 
 class TestSaturatedCommand:

@@ -71,8 +71,7 @@ class TestIsCocritical:
         seq_false = is_cocritical(cycle_graph(5), S33, workers=1)
         par_false = is_cocritical(cycle_graph(5), S33, workers=2)
         assert seq_false == par_false
-        # Every extension of HT(3,4) n=10 contains K9: each is certified
-        # from the K9 proof, which the workers search as split subproblems.
+        # And on a graph whose extensions are all searched.
         ht = hanson_toft(S34, 10)
         assert is_cocritical(ht, S34, workers=2) == is_cocritical(ht, S34, workers=1)
 
@@ -84,12 +83,13 @@ class TestIsCocritical:
 
     def test_node_limit_is_one_budget_over_the_extensions(self):
         # HT(3,3) n=7 is K4 joined to three vertices: its base search takes
-        # 23 nodes, and each extension holds a K6, whose proof takes 26.
+        # 21 nodes, and its three extensions 18, 24 and 24.  A limit of 63
+        # fits each search but not their sum.
         g = hanson_toft(S33, 7)
-        for limit in (26, 48):
+        for limit in (63, 86):
             assert is_cocritical(g, S33, node_limit=limit).is_cocritical is None
-        report = is_cocritical(g, S33, node_limit=49)
-        assert report.is_cocritical is True and report.nodes == 23
+        report = is_cocritical(g, S33, node_limit=87)
+        assert report.is_cocritical is True and report.nodes == 87
 
     def test_node_limit_gives_indeterminate(self):
         report = is_cocritical(k6_minus(), S33, node_limit=3)
@@ -119,7 +119,7 @@ class TestWitnessFirstRefutation:
 
     def test_refuted_extension_costs_no_search(self):
         # C5's least non-edge (0,2) takes a free color under the base witness.
-        base = arrows(cycle_graph(5), S33, split_depth=0)
+        base = arrows(cycle_graph(5), S33)
         report = is_cocritical(cycle_graph(5), S33)
         assert report.failing_edge == (0, 2)
         assert report.nodes == base.stats.nodes
