@@ -14,7 +14,7 @@ import time
 from itertools import islice
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, bits, mask_has_clique
+from .graphs import Edge, Graph, bits, mask_has_clique, twin_pairs
 
 MAX_COLORS = 4
 ENUMERATION_EDGE_LIMIT = 40
@@ -156,26 +156,6 @@ def symmetry_breaking_seed(
     if len(reps) < spec.k:
         return [(edges[0], tuple(reps))]
     return []
-
-
-def twin_pairs(g: Graph) -> list[tuple[int, int]]:
-    """Consecutive members (a, b), a < b, of every class of twin vertices.
-
-    Twins u, w have N(u) - {w} = N(w) - {u}: the same open neighborhood
-    when they are not adjacent, the same closed one when they are.  Either
-    way swapping them is an automorphism of g.  The last vertex seen with
-    the same neighborhood is the previous member of the class.
-    """
-    last_open: dict[int, int] = {}
-    last_closed: dict[int, int] = {}
-    pairs = []
-    for v, nbrs in enumerate(g.adj):
-        for last, key in ((last_open, nbrs), (last_closed, nbrs | 1 << v)):
-            prev = last.get(key)
-            if prev is not None:
-                pairs.append((prev, v))
-            last[key] = v
-    return pairs
 
 
 # dom[i] holds bit ell for each color ell that edge i can still take.  A

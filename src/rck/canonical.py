@@ -9,7 +9,7 @@ strings therefore mean isomorphic graphs and vice versa.
 from __future__ import annotations
 
 from .graph6 import to_graph6
-from .graphs import Graph, bits, relabel
+from .graphs import Graph, bits, relabel, twin_pairs
 
 CANONICAL_MAX_VERTICES = 12
 
@@ -34,12 +34,6 @@ def refinement_classes(g: Graph) -> list[int]:
         if new == colors:
             return colors
         colors = new
-
-
-def _are_twins(adj: tuple[int, ...], u: int, w: int) -> bool:
-    # The transposition (u w) is an automorphism iff N(u)\{w} == N(w)\{u}.
-    clear = ~((1 << u) | (1 << w))
-    return (adj[u] ^ adj[w]) & clear == 0
 
 
 class _OrbitUnion:
@@ -70,6 +64,11 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
         return (0,)
 
     colors = refinement_classes(g)
+    # Swapping twins is an automorphism, so each level tries one vertex of
+    # each twin class; twin[v] names v's class.
+    twin = list(range(n))
+    for a, b in twin_pairs(g):
+        twin[b] = twin[a]
     required = sorted(colors)  # class id that each position must hold
 
     # best[j] is the adjacency column of position j+1 against positions 0..j,
@@ -101,12 +100,12 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
                 col = (col << 1) | (row >> perm[i] & 1)
             scored.append((col, v))
         scored.sort()
-        tried: list[int] = []
+        tried = 0  # twin classes tried at this level, as a mask
         tried_roots: list[int] = []
         for col, v in scored:
             if p == 0 and any(orbits.find(v) == orbits.find(u) for u in tried_roots):
                 continue
-            if any(_are_twins(adj, v, u) for u in tried):
+            if tried >> twin[v] & 1:
                 continue
             if p > 0:
                 slot = best[p - 1]
@@ -117,7 +116,7 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
                     for j in range(p, n - 1):
                         best[j] = _HIGH
                     best_perm = None
-            tried.append(v)
+            tried |= 1 << twin[v]
             if p == 0:
                 tried_roots.append(v)
             perm.append(v)

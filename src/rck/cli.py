@@ -23,15 +23,10 @@ from pathlib import Path
 
 from .arrowing import CliqueVector, arrows, ordered_map, serialize_coloring
 from .canonical import canonical_form
-from .cocritical import is_cocritical, is_minimal_cocritical, lemma_suite
-from .constructions import (
-    construction_by_name,
-    hanson_toft_edge_count,
-    known_ramsey,
-    sharp_mindeg_bound,
-)
+from .cocritical import graph_facts, is_cocritical, is_minimal_cocritical, lemma_suite
+from .constructions import construction_by_name, sharp_mindeg_bound
 from .graph6 import parse_graph6, to_graph6
-from .graphs import CHROMATIC_MAX_VERTICES, Graph, chromatic_number, degree_stats
+from .graphs import Graph, degree_stats
 from .saturation import is_saturated
 
 EXIT_OK = 0
@@ -44,15 +39,6 @@ WORKERS_ENV = "RCK_WORKERS"
 
 class InputError(Exception):
     pass
-
-
-class _Tee:
-    def __init__(self, *targets):
-        self.targets = targets
-
-    def write(self, text: str) -> None:
-        for target in self.targets:
-            target.write(text)
 
 
 def default_workers() -> int:
@@ -170,10 +156,10 @@ def _emit(out, record: dict, cfg: argparse.Namespace) -> None:
         out.write("  ".join(parts) + "\n")
 
 
-def _record_base(g: Graph, spec: CliqueVector, chi: int | None) -> dict:
-    delta, _, _ = degree_stats(g)
-    known = known_ramsey(spec)
-    ht = hanson_toft_edge_count(known[0], g.n) if known is not None else None
+def _record_base(g: Graph, spec: CliqueVector, facts) -> dict:
+    """The fields every arrow and cocritical record starts with; facts is
+    the (delta, chi, ht_bound) triple of cocritical.graph_facts."""
+    delta, chi, ht = facts
     return {
         "g6": to_graph6(g),
         "spec": list(spec.sizes),
@@ -205,14 +191,10 @@ def _stream_records(cfg: argparse.Namespace, record) -> list:
     return list(ordered_map(partial(record, cfg), lines, cfg.workers))
 
 
-def _chi(g: Graph) -> int | None:
-    return chromatic_number(g) if g.n <= CHROMATIC_MAX_VERTICES else None
-
-
 def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
     g = _parse_line(line)
     verdict = arrows(g, cfg.spec, node_limit=cfg.node_limit)
-    record = _record_base(g, cfg.spec, _chi(g))
+    record = _record_base(g, cfg.spec, graph_facts(g, cfg.spec))
     record["verdict"] = verdict.arrows
     record["stats"] = {
         "nodes": verdict.stats.nodes,
@@ -229,18 +211,8 @@ def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
 def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
     g = _parse_line(line)
     spec = cfg.spec
-    if g.is_complete():
-        # Co-criticality excludes complete graphs, as scan counts them.
-        record = _record_base(g, spec, _chi(g))
-        record["verdict"] = False
-        record["failing_edge"] = None
-        ht = record["ht_bound"]
-        record["meets_ht"] = None if ht is None else g.edge_count >= ht
-        record["minimal"] = None
-        record["stats"] = {"nodes": 0}
-        return record, EXIT_OK
     report = is_cocritical(g, spec, node_limit=cfg.node_limit)
-    record = _record_base(g, spec, report.chi)
+    record = _record_base(g, spec, (report.delta, report.chi, report.ht_bound))
     record["verdict"] = report.is_cocritical
     record["failing_edge"] = list(report.failing_edge) if report.failing_edge else None
     record["meets_ht"] = report.meets_ht
@@ -262,8 +234,6 @@ def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
 
 def _scan_graph(cfg: argparse.Namespace, line: str):
     g = _parse_line(line)
-    if g.is_complete():
-        return False, None, 0  # co-criticality excludes complete graphs
     report = is_cocritical(g, cfg.spec, node_limit=cfg.node_limit)
     if report.is_cocritical is not True:
         return report.is_cocritical, None, report.nodes
@@ -372,13 +342,13 @@ def run(argv, out) -> int:
     try:
         cfg = parse_config(argv)
         handler = cmd_scan if cfg.subcommand == "scan" else cmd_records
-        if not cfg.report_path:
-            return handler(cfg, out)
-        # Written only once every record is ready, so an input error leaves
-        # an existing report as it was.
-        report = io.StringIO()
-        code = handler(cfg, _Tee(out, report))
-        Path(cfg.report_path).write_text(report.getvalue())
+        # Output is written only once every record is ready, so an input
+        # error leaves an existing report as it was.
+        buffer = io.StringIO()
+        code = handler(cfg, buffer)
+        out.write(buffer.getvalue())
+        if cfg.report_path:
+            Path(cfg.report_path).write_text(buffer.getvalue())
         return code
     except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

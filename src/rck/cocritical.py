@@ -93,18 +93,34 @@ def _first_witness_refuted(
     return len(non_edges)
 
 
+def graph_facts(g: Graph, spec: CliqueVector) -> tuple[int, int | None, int | None]:
+    """(delta, chi, Hanson-Toft edge bound) of g, as every record reports them.
+
+    chi is None past CHROMATIC_MAX_VERTICES.  The bound is None when r(spec)
+    is unknown or n < r, since no graph on fewer than r vertices is
+    co-critical.
+    """
+    chi = chromatic_number(g) if g.n <= CHROMATIC_MAX_VERTICES else None
+    known = known_ramsey(spec)
+    ht_bound = None
+    if known is not None and g.n >= known[0]:
+        ht_bound = hanson_toft_edge_count(known[0], g.n)
+    return degree_stats(g)[0], chi, ht_bound
+
+
 def is_cocritical(
     g: Graph,
     spec: CliqueVector,
     *,
     workers: int = 1,
     node_limit: int | None = None,
-    r: int | None = None,
 ) -> CocriticalReport:
     """Definitional co-criticality check.
 
-    The base graph must admit a critical coloring and every single-non-edge
-    extension must not.  failing_edge is the least refuting non-edge.
+    The base graph must be non-complete and admit a critical coloring, and
+    every single-non-edge extension must not.  failing_edge is the least
+    refuting non-edge; a complete graph is reported not co-critical with
+    no failing edge and no search.
 
     Witness-first refutation: the least non-edge e* whose extension the
     base witness refutes with one more colored edge is found without
@@ -114,13 +130,17 @@ def is_cocritical(
     node_limit that the searches before it left.  workers is accepted for
     compatibility and unused.
     """
-    if g.is_complete():
-        raise ValueError("co-criticality is defined for non-complete graphs")
-    delta = degree_stats(g)[0]
-    chi = chromatic_number(g) if g.n <= CHROMATIC_MAX_VERTICES else None
-    known = known_ramsey(spec, r)
-    ht_bound = hanson_toft_edge_count(known[0], g.n) if known else None
+    delta, chi, ht_bound = graph_facts(g, spec)
     meets_ht = (g.edge_count >= ht_bound) if ht_bound is not None else None
+
+    def report(verdict, failing=None, witness=None, nodes=0):
+        return CocriticalReport(
+            spec, verdict, failing, witness, delta, chi, g.edge_count,
+            ht_bound, meets_ht, nodes,
+        )
+
+    if g.is_complete():
+        return report(False)
 
     base = arrows(g, spec, node_limit=node_limit)
     nodes = base.stats.nodes
@@ -143,17 +163,8 @@ def is_cocritical(
                 verdict_value = False
                 failing = non_edges[cut]
 
-    return CocriticalReport(
-        spec,
-        verdict_value,
-        failing,
-        base.witness if verdict_value else None,
-        delta,
-        chi,
-        g.edge_count,
-        ht_bound,
-        meets_ht,
-        nodes,
+    return report(
+        verdict_value, failing, base.witness if verdict_value else None, nodes
     )
 
 
@@ -169,10 +180,7 @@ def is_minimal_cocritical(
     if report.is_cocritical is not True:
         raise ValueError("minimality is only defined for co-critical graphs")
     for v in range(g.n):
-        sub = delete_vertex(g, v)
-        if sub.is_complete():
-            continue  # complete graphs are never co-critical
-        if is_cocritical(sub, spec).is_cocritical:
+        if is_cocritical(delete_vertex(g, v), spec).is_cocritical:
             return False
     return True
 
@@ -397,19 +405,17 @@ def mindeg_assert(g: Graph, spec: CliqueVector) -> LemmaFinding:
     )
 
 
-def lemma_suite(
-    g: Graph, spec: CliqueVector, *, r: int | None = None
-) -> list[LemmaFinding]:
+def lemma_suite(g: Graph, spec: CliqueVector) -> list[LemmaFinding]:
     """All applicable structural checks for one co-critical graph.
 
-    The chromatic bound runs when the Ramsey number for the clique vector is
-    known (or supplied); the degree and neighborhood checks run whenever the
-    sizes are ascending with all entries >= 3.
+    The checks need at least two colors and ascending sizes with all
+    entries >= 3; otherwise there are no findings.  The chromatic bound runs
+    when the Ramsey number for the clique vector is known.
     """
     findings: list[LemmaFinding] = []
-    if not spec.is_ascending() or any(t < 3 for t in spec.sizes):
+    if spec.k < 2 or not spec.is_ascending() or any(t < 3 for t in spec.sizes):
         return findings
-    known = known_ramsey(spec, r)
+    known = known_ramsey(spec)
     if known is not None:
         findings.append(check_lemma_1_2(g, spec, known[0]))
     findings.append(mindeg_assert(g, spec))

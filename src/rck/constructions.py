@@ -34,14 +34,12 @@ class RamseyFact:
 
     spec: CliqueVector
     r: int
-    provenance: str  # "verified-by-search" | "paper-cited" | "user-supplied"
+    provenance: str  # "verified-by-search" | "paper-cited"
     lower_witness: EdgeColoring | None = None
 
 
-def known_ramsey(spec: CliqueVector, user_r: int | None = None) -> tuple[int, str] | None:
+def known_ramsey(spec: CliqueVector) -> tuple[int, str] | None:
     """Best known (r, provenance) for the spec, or None."""
-    if user_r is not None:
-        return user_r, "user-supplied"
     key = tuple(spec.sizes)
     if key in VERIFIED_RAMSEY:
         return VERIFIED_RAMSEY[key], "verified-by-search"
@@ -91,6 +89,8 @@ def mindeg_bound(spec: CliqueVector) -> int:
 
     Equals t_k - 2k - 1 + sum(t_i); for k = 2 this is 2*t_2 + t_1 - 5.
     """
+    if spec.k < 2:
+        raise ValueError("the bound requires at least two colors")
     if not spec.is_ascending():
         raise ValueError("clique sizes must be sorted ascending")
     if any(t < 3 for t in spec.sizes):
@@ -115,14 +115,15 @@ def hanson_toft_edge_count(r: int, n: int) -> int:
 def hanson_toft(spec: CliqueVector, n: int, r: int | None = None) -> Graph:
     """The co-critical construction: a clique on r-2 vertices joined to a
     stable set, with (r-2)(n-r+2) + C(r-2, 2) edges and minimum degree r-2."""
-    known = known_ramsey(spec, r)
-    if known is None:
-        raise ValueError(f"Ramsey number unknown for ({spec}); supply r explicitly")
-    r_val = known[0]
-    if n < r_val:
-        raise ValueError(f"need n >= r = {r_val}, got n = {n}")
-    g = join(complete_graph(r_val - 2), empty_graph(n - r_val + 2))
-    assert g.edge_count == hanson_toft_edge_count(r_val, n)
+    if r is None:
+        known = known_ramsey(spec)
+        if known is None:
+            raise ValueError(f"Ramsey number unknown for ({spec}); supply r explicitly")
+        r = known[0]
+    if n < r:
+        raise ValueError(f"need n >= r = {r}, got n = {n}")
+    g = join(complete_graph(r - 2), empty_graph(n - r + 2))
+    assert g.edge_count == hanson_toft_edge_count(r, n)
     return g
 
 

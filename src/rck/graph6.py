@@ -52,32 +52,25 @@ def parse_graph6(line: str) -> Graph:
         raise ValueError(
             f"graph6 body has {len(body)} bytes, expected {expect} for n={n}"
         )
-    adj = [0] * n
-    idx = 0
+    word = 0
     for ch in body:
         val = ord(ch) - 63
         if not 0 <= val < 64:
             raise ValueError(f"invalid graph6 byte {ch!r}")
-        for k in range(5, -1, -1):
-            bit = val >> k & 1
-            if idx < nbits:
-                if bit:
-                    u, v = _pair_at(idx, n)
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-            elif bit:
-                raise ValueError("nonzero padding bits in graph6 line")
-            idx += 1
+        word = word << 6 | val
+    pad = 6 * expect - nbits
+    if word & ((1 << pad) - 1):
+        raise ValueError("nonzero padding bits in graph6 line")
+    # Walk the bits in the order to_graph6 writes them, first bit highest.
+    bit = (1 << 6 * expect) >> 1
+    adj = [0] * n
+    for v in range(1, n):
+        for u in range(v):
+            if word & bit:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            bit >>= 1
     return Graph(n, tuple(adj))
-
-
-def _pair_at(idx: int, n: int) -> tuple[int, int]:
-    # Index into the column-major upper triangle.
-    v = 1
-    while idx >= v:
-        idx -= v
-        v += 1
-    return idx, v
 
 
 def iter_graph6(lines):

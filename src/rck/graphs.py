@@ -301,28 +301,36 @@ def chromatic_number(g: Graph) -> int:
 
 
 def is_complete_multipartite(g: Graph) -> tuple[bool, int]:
-    """True (with part count) iff the complement is a disjoint union of cliques."""
-    co = complement(g)
-    seen = 0
-    parts = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        # Component of v in the complement.
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for w in bits(frontier):
-                nxt |= co.adj[w]
-            frontier = nxt & ~comp
-            comp |= frontier
-        for w in bits(comp):
-            if (co.adj[w] | (1 << w)) & comp != comp:
-                return False, 0
-        seen |= comp
-        parts += 1
-    return True, parts
+    """True (with part count) iff non-adjacency is an equivalence relation.
+
+    The closed non-neighborhoods full & ~adj[v] are then the parts, so the
+    distinct ones partition the vertices exactly when their sizes sum to n.
+    """
+    parts = {g.full_mask & ~row for row in g.adj}
+    if sum(p.bit_count() for p in parts) != g.n:
+        return False, 0
+    return True, len(parts)
+
+
+def twin_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Consecutive members (a, b), a < b, of every class of twin vertices.
+
+    Twins u, w have N(u) - {w} = N(w) - {u}: the same open neighborhood
+    when they are not adjacent, the same closed one when they are.  Either
+    way swapping them is an automorphism of g.  No vertex has both kinds of
+    twin, so the classes are disjoint.  The last vertex seen with the same
+    neighborhood is the previous member of the class.
+    """
+    last_open: dict[int, int] = {}
+    last_closed: dict[int, int] = {}
+    pairs = []
+    for v, nbrs in enumerate(g.adj):
+        for last, key in ((last_open, nbrs), (last_closed, nbrs | 1 << v)):
+            prev = last.get(key)
+            if prev is not None:
+                pairs.append((prev, v))
+            last[key] = v
+    return pairs
 
 
 def relabel(g: Graph, perm) -> Graph:

@@ -53,6 +53,23 @@ def permutation_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def complement_clique_components(g: Graph) -> tuple[bool, int]:
+    """(complete multipartite, part count) from the definition: every
+    connected component of the complement is a clique of the complement."""
+    comp = list(range(g.n))
+    for u, v in combinations(range(g.n), 2):
+        if not g.adj[u] >> v & 1:
+            old, new = comp[v], comp[u]
+            comp = [new if c == old else c for c in comp]
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(comp):
+        groups.setdefault(c, []).append(v)
+    for members in groups.values():
+        if any(g.adj[u] >> v & 1 for u, v in combinations(members, 2)):
+            return False, 0
+    return True, len(groups)
+
+
 def clique_edge_masks(g: Graph, t: int) -> list[int]:
     """Edge-index masks of every K_t subgraph of g."""
     edges = g.edges

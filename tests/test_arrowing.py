@@ -25,7 +25,6 @@ from rck.arrowing import (
     parse_coloring,
     serialize_coloring,
     symmetry_breaking_seed,
-    twin_pairs,
 )
 from rck.constructions import hanson_toft
 from rck.graphs import (
@@ -36,6 +35,7 @@ from rck.graphs import (
     cycle_graph,
     empty_graph,
     join,
+    twin_pairs,
 )
 from rck.saturation import is_saturated
 

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import small_graphs
 from oracles import permutation_isomorphic
+from rck.arrowing import CliqueVector
 from rck.canonical import canonical_form, canonical_permutation
+from rck.constructions import hanson_toft
 from rck.graphs import (
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     empty_graph,
     from_edges,
@@ -60,7 +63,13 @@ def test_relabel_invariance(g, rng):
 
 def test_fifty_random_relabelings_per_graph():
     rng = random.Random(7)
-    for g in (cycle_graph(6), path_graph(7), complete_graph(5), empty_graph(6)):
+    # Twin-rich inputs too: twin classes prune the relabeling search.
+    twin_rich = (
+        [complete_graph(n) for n in (2, 7, 10)]
+        + [hanson_toft(CliqueVector((3, 3)), n) for n in range(6, 11)]
+        + [complete_multipartite_graph(p) for p in ([2, 3], [1, 2, 3], [3, 3, 3], [1, 1, 4, 4])]
+    )
+    for g in (cycle_graph(6), path_graph(7), complete_graph(5), empty_graph(6), *twin_rich):
         base = canonical_form(g)
         for _ in range(50):
             perm = list(range(g.n))

@@ -97,6 +97,12 @@ class TestArrowCommand:
         assert code == EXIT_OK
         assert "verdict=True" in out
 
+    def test_no_hanson_toft_bound_below_r(self):
+        # No graph on fewer than r(3,3) = 6 vertices is co-critical.
+        for n, bound in ((1, None), (5, None), (6, 14)):
+            _, out = invoke(["arrow", "--spec", "3,3", "--construct", f"kn:{n}"])
+            assert records(out)[0]["ht_bound"] == bound
+
     def test_timing_adds_wall_time(self):
         _, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:3", "--timing"])
         assert "wall_time" in records(out)[0]["stats"]
@@ -153,6 +159,17 @@ class TestCocriticalCommand:
         assert list(k6) == list(c5)
 
 
+    def test_one_color_spec_has_no_lemma_findings(self):
+        # C5 is co-critical for (3); the structural checks need two colors.
+        code, out = invoke(
+            ["cocritical", "--spec", "3", "--lemmas"], stdin_text="Dhc\n"
+        )
+        assert code == EXIT_OK
+        (rec,) = records(out)
+        assert rec["verdict"] is True and rec["lemmas"] == []
+        assert (rec["ht_bound"], rec["meets_ht"]) == (None, None)
+
+
 class TestSaturatedCommand:
     def test_complete_graph_vacuous_flag(self):
         code, out = invoke(["saturated", "--t", "3", "--construct", "kn:3"])
@@ -190,6 +207,16 @@ class TestScanCommand:
         assert summary["lemma_fail"] == 0
         # K_6 minus an edge and the 6-vertex join construction coincide.
         assert len(summary["cocritical_canonical"]) == 1
+
+    def test_one_color_spec(self):
+        # The minimum-degree bound is stated for two or more colors, so a
+        # one-color scan reports none rather than a failure on C5 (delta 2).
+        code, out = invoke(["scan", "--spec", "3"], stdin_text="Dhc\n")
+        assert code == EXIT_OK
+        (summary,) = records(out)
+        assert summary["cocritical"] == 1 and summary["min_delta"] == 2
+        assert (summary["delta_bound"], summary["delta_ok"]) == (None, None)
+        assert (summary["lemma_pass"], summary["lemma_fail"]) == (0, 0)
 
     def test_oracle_mode_on_four_vertices(self, corpus):
         # Brute-force-verified census for the degenerate (2,3) spec.

@@ -12,6 +12,7 @@ from rck.cocritical import (
     MINIMIZE_FIRST,
     check_lemma_1_2,
     check_lemma_1_5,
+    graph_facts,
     is_cocritical,
     is_minimal_cocritical,
     lemma_suite,
@@ -52,9 +53,21 @@ class TestIsCocritical:
         assert report.failing_edge == (0, 2)
         assert report.base_witness is None
 
-    def test_complete_graph_rejected(self):
-        with pytest.raises(ValueError):
-            is_cocritical(complete_graph(6), S33)
+    def test_complete_graph_is_not_cocritical(self):
+        report = is_cocritical(complete_graph(6), S33)
+        assert report.is_cocritical is False
+        assert report.failing_edge is None and report.base_witness is None
+        assert report.nodes == 0
+        assert (report.delta, report.chi, report.ht_bound) == (5, 6, 14)
+        assert report.meets_ht is True
+
+    def test_no_hanson_toft_bound_below_r(self):
+        # No graph on fewer than r(3,4) = 9 vertices is co-critical.
+        assert graph_facts(cycle_graph(5), S34) == (2, 3, None)
+        report = is_cocritical(cycle_graph(5), S34)
+        assert report.ht_bound is None and report.meets_ht is None
+        assert graph_facts(cycle_graph(5), CliqueVector((4, 4)))[2] is None
+        assert graph_facts(hanson_toft(S34, 9), S34)[2] == 35
 
     def test_graph_that_arrows_is_not_cocritical(self):
         g = join(complete_graph(6), empty_graph(2))
@@ -292,3 +305,10 @@ class TestLemmaSuite:
     def test_suite_empty_for_unqualified_spec(self):
         g = from_edges(3, [(0, 1)])
         assert lemma_suite(g, CliqueVector((2, 3))) == []
+
+    def test_suite_empty_for_one_color(self):
+        # C5 is co-critical for (3) with delta = 2; the structural checks
+        # are stated for two or more colors only.
+        one = CliqueVector((3,))
+        assert is_cocritical(cycle_graph(5), one).is_cocritical is True
+        assert lemma_suite(cycle_graph(5), one) == []

@@ -77,6 +77,8 @@ class TestMindegBound:
             mindeg_bound(CliqueVector((4, 3)))
         with pytest.raises(ValueError):
             mindeg_bound(CliqueVector((2, 3)))
+        with pytest.raises(ValueError):
+            mindeg_bound(CliqueVector((3,)))  # the formula needs two colors
 
 
 class TestRamseyLowerBound:
@@ -108,10 +110,9 @@ class TestRamseyFact:
         assert fact.r == 17 and fact.provenance == "paper-cited"
         assert fact.lower_witness is None
 
-    def test_known_ramsey_user_override(self):
+    def test_known_ramsey(self):
         assert known_ramsey(S33) == (6, "verified-by-search")
         assert known_ramsey(CliqueVector((4, 4))) is None
-        assert known_ramsey(CliqueVector((4, 4)), user_r=18) == (18, "user-supplied")
 
 
 class TestConstructionNames:

@@ -1,9 +1,12 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
 from rck.graph6 import iter_graph6, parse_graph6, to_graph6
-from rck.graphs import complete_graph, cycle_graph, empty_graph
+from rck.graphs import MAX_VERTICES, complete_graph, empty_graph, from_edges
 
 
 def test_k3_encodes_to_bw():
@@ -40,15 +43,21 @@ def test_parse_rejects_malformed_lines():
 
 
 @settings(max_examples=300)
-@given(small_graphs(max_n=7))
+@given(small_graphs(max_n=MAX_VERTICES))
 def test_round_trip_random_graphs(g):
     assert parse_graph6(to_graph6(g)) == g
 
 
 def test_round_trip_line_identity():
-    lines = [to_graph6(cycle_graph(n)) for n in range(3, 9)]
-    for line in lines:
-        assert to_graph6(parse_graph6(line)) == line
+    # Every n up to the limit, so every padding length 0..5 occurs.
+    rng = random.Random(6)
+    for n in range(1, MAX_VERTICES + 1):
+        pairs = list(combinations(range(n), 2))
+        sparse = from_edges(n, [e for e in pairs if rng.random() < 0.3])
+        for g in (sparse, complete_graph(n), empty_graph(n)):
+            line = to_graph6(g)
+            assert parse_graph6(line) == g
+            assert to_graph6(parse_graph6(line)) == line
 
 
 def test_iter_graph6_skips_blanks():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from conftest import small_graphs
 from oracles import (
     assignments_chromatic_number,
+    complement_clique_components,
     subsets_clique_number,
     subsets_independence_number,
 )
@@ -192,6 +193,12 @@ def test_is_complete_multipartite():
     assert is_complete_multipartite(complete_multipartite_graph([3, 3])) == (True, 2)
     assert is_complete_multipartite(complete_graph(4)) == (True, 4)
     assert is_complete_multipartite(empty_graph(4)) == (True, 1)
+
+
+def test_is_complete_multipartite_matches_definition(corpus):
+    for n in range(1, 8):
+        for g in corpus[n]:
+            assert is_complete_multipartite(g) == complement_clique_components(g)
 
 
 def test_induced_subgraph_and_delete_vertex():
