@@ -13,14 +13,12 @@ from __future__ import annotations
 import time
 from itertools import islice
 from dataclasses import dataclass
+from functools import cached_property
 
-from .graphs import Edge, Graph, bits, mask_has_clique, twin_pairs
+from .graphs import Graph, bits, mask_has_clique, twin_pairs
 
 MAX_COLORS = 4
 ENUMERATION_EDGE_LIMIT = 40
-
-# Ramsey numbers small enough to re-prove by search.
-VERIFIED_RAMSEY = {(3, 3): 6, (3, 4): 9}
 
 
 class NodeLimitExceeded(Exception):
@@ -43,8 +41,11 @@ class CliqueVector:
     def k(self) -> int:
         return len(self.sizes)
 
-    def is_ascending(self) -> bool:
-        return all(a <= b for a, b in zip(self.sizes, self.sizes[1:]))
+    def is_standard(self) -> bool:
+        """True for the specs the paper's bounds cover: at least two colors
+        and ascending targets, all at least 3."""
+        sizes = self.sizes
+        return self.k >= 2 and sizes[0] >= 3 and list(sizes) == sorted(sizes)
 
     def drop_first(self) -> "CliqueVector":
         if self.k < 2:
@@ -79,18 +80,23 @@ class EdgeColoring:
 
     def color_class(self, ell: int) -> Graph:
         """Spanning subgraph whose edges are exactly those of color ell."""
-        return Graph(self.host.n, tuple(self.class_adj(ell)))
+        return Graph(self.host.n, self.class_adj(ell))
 
     def class_size(self, ell: int) -> int:
         return sum(1 for c in self.colors if c == ell)
 
-    def class_adj(self, ell: int) -> list[int]:
-        adj = [0] * self.host.n
+    @cached_property
+    def _class_adjs(self) -> tuple[tuple[int, ...], ...]:
+        """The adjacency of every color class, indexed by color, in one pass."""
+        adjs = [[0] * self.host.n for _ in range(self.k + 1)]
         for (u, v), c in zip(self.host.edges, self.colors):
-            if c == ell:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return adj
+            adj = adjs[c]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(map(tuple, adjs))
+
+    def class_adj(self, ell: int) -> tuple[int, ...]:
+        return self._class_adjs[ell]
 
     def word(self) -> str:
         return "".join(str(c) for c in self.colors)
@@ -132,32 +138,6 @@ def is_critical(g: Graph, coloring: EdgeColoring, spec: CliqueVector) -> bool:
     return True
 
 
-def symmetry_breaking_seed(
-    g: Graph, spec: CliqueVector
-) -> list[tuple[Edge, tuple[int, ...]]]:
-    """Root restriction of the color mask of edge edges[0].
-
-    Colors with equal clique targets are interchangeable, so if any
-    critical coloring exists, one gives edges[0] the least color of its
-    target group.  The restriction is applied to that edge's mask before the
-    search starts, so it is sound under any branching order, whenever the
-    edge is branched on.  Restricted and unrestricted searches agree on the
-    verdict.
-    """
-    edges = g.edges
-    if not edges:
-        return []
-    reps: list[int] = []
-    seen: set[int] = set()
-    for ell, t in enumerate(spec.sizes, start=1):
-        if t not in seen:
-            seen.add(t)
-            reps.append(ell)
-    if len(reps) < spec.k:
-        return [(edges[0], tuple(reps))]
-    return []
-
-
 # dom[i] holds bit ell for each color ell that edge i can still take.  A
 # colored edge holds _COLORED (bit 0 names no color), so it never counts as
 # a feasible or forced edge and never wins select().  Every mask is below
@@ -175,18 +155,25 @@ class _Search:
     """Backtracking state shared by the decision, optimum and enumeration searches.
 
     Every uncolored edge keeps the mask of colors that complete no
-    monochromatic target clique and that the seed allows (forward checking,
-    Haralick & Elliott 1980).  assign() removes the assigned color from the
-    masks of the edges it newly blocks and reports a wipe-out, an uncolored
-    edge left with an empty mask; unassign() restores the masks from a trail.
+    monochromatic target clique (forward checking, Haralick & Elliott 1980).
+    assign() removes the assigned color from the masks of the edges it newly
+    blocks and reports a wipe-out, an uncolored edge left with an empty
+    mask; unassign() restores the masks from a trail.
 
-    Each twin pair (a, b) from twins adds a lex-leader constraint
-    (Crawford, Ginsberg, Luks & Roy 1996; Codish, Miller, Prosser & Stuckey
-    2019): the color word must be at most its image under the swap of a and
-    b, which exchanges the edges ax and bx for each other neighbor x of a.
-    Every orbit of critical colorings under the automorphisms keeps its
-    least word, so verdicts and class-size optima are unchanged; assign()
-    reports a broken constraint as a wipe-out.
+    color_seed restricts edge 0 to the least color of each group of equal
+    targets.  Colors with equal targets are interchangeable, so if any
+    critical coloring exists, one gives edge 0 such a color.  The
+    restriction is applied to the mask before the search starts, so it is
+    sound under any branching order, whenever the edge is branched on, and
+    restricted and unrestricted searches agree on the verdict.
+
+    twins adds a lex-leader constraint for each pair (a, b) of
+    graphs.twin_pairs(g) (Crawford, Ginsberg, Luks & Roy 1996; Codish,
+    Miller, Prosser & Stuckey 2019): the color word must be at most its
+    image under the swap of a and b, which exchanges the edges ax and bx for
+    each other neighbor x of a.  Every orbit of critical colorings under the
+    automorphisms keeps its least word, so verdicts and class-size optima
+    are unchanged; assign() reports a broken constraint as a wipe-out.
     """
 
     __slots__ = (
@@ -195,7 +182,7 @@ class _Search:
         "marks", "lex",
     )
 
-    def __init__(self, g, spec, seed=(), node_limit=None, twins=()):
+    def __init__(self, g, spec, node_limit=None, *, color_seed=False, twins=False):
         self.n = g.n
         self.edges = g.edges
         self.m = len(self.edges)
@@ -213,25 +200,25 @@ class _Search:
             self.eid[u][v] = self.eid[v][u] = i
         # An empty coloring completes no clique of size >= 3; only a K_2
         # target forbids its color outright.
-        full = 0
+        full = least = 0
         for ell, t in enumerate(spec.sizes, start=1):
             if t > 2:
                 full |= 1 << ell
+            if t not in spec.sizes[: ell - 1]:
+                least |= 1 << ell
         self.dom = [full] * self.m
-        for (u, v), allowed in seed:
-            restricted = 0
-            for ell in allowed:
-                restricted |= 1 << ell
-            self.dom[self.eid[u][v]] &= restricted
+        if color_seed and self.m:
+            self.dom[0] &= least
         self.trail: list[int] = []
         self.marks: list[int] = []
         # lex[i] lists, for each twin swap that moves edge i, the moved edge
         # pairs (ax, bx) by increasing x.  Both edges of a pair sort by their
         # other endpoint x, so the pairs are in edge order.
         self.lex = None
-        if twins:
+        twin_list = twin_pairs(g) if twins else []
+        if twin_list:
             self.lex = [[] for _ in range(self.m)]
-            for a, b in twins:
+            for a, b in twin_list:
                 row_a, row_b = self.eid[a], self.eid[b]
                 others = g.adj[a] & ~(1 << b)
                 pairs = tuple((row_a[x], row_b[x]) for x in bits(others))
@@ -422,8 +409,8 @@ class _Search:
         """Yield every critical color word in lexicographic order.
 
         Colors the edges in their static order and prunes only on wipe-out,
-        so without seed or twins the output is the lexicographic list of all
-        critical words.
+        so without color_seed or twins the output is the lexicographic list
+        of all critical words.
         """
         dom = self.dom
 
@@ -437,30 +424,6 @@ class _Search:
                 self.unassign(i)
 
         yield from gen(0)
-
-
-def ordered_map(fn, jobs: list, workers: int):
-    """fn over jobs, with the results in input order.
-
-    With fewer than two workers or two jobs this is the lazy built-in map,
-    so a caller can stop at any result.  Otherwise a process pool runs the
-    jobs in about eight chunks per worker, enough to balance uneven jobs
-    while keeping the per-chunk hand-over rare, and every result is ready
-    on return.  A job that raises stops the map and cancels the chunks not
-    yet started.
-    """
-    if workers < 2 or len(jobs) < 2:
-        return map(fn, jobs)
-    # Imported here because it loads multiprocessing, which a run with one
-    # worker never uses, and that import is a large share of start-up.
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunksize = max(1, len(jobs) // (8 * workers))
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        return list(pool.map(fn, jobs, chunksize=chunksize))
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def arrows(
@@ -480,10 +443,9 @@ def arrows(
     never the verdict.  workers is accepted for compatibility and unused.
     """
     t0 = time.perf_counter()
-    if symmetry_breaking:
-        s = _Search(g, spec, symmetry_breaking_seed(g, spec), node_limit, twin_pairs(g))
-    else:
-        s = _Search(g, spec, node_limit=node_limit)
+    s = _Search(
+        g, spec, node_limit, color_seed=symmetry_breaking, twins=symmetry_breaking
+    )
     verdict = None
     try:
         word = s.decide()
@@ -512,17 +474,21 @@ def extremal_critical_coloring(
     mode "max" maximizes and "min" minimizes the size of that color class
     over all critical colorings.  The search keeps the twin lex-leader
     constraints, since vertex automorphisms preserve class sizes, but not
-    the color seed: color swaps do not preserve the objective.  Raises
-    NodeLimitExceeded when a node budget is given and runs out; an optimum
-    is never guessed.
+    the color seed: color swaps do not preserve the objective.  The coloring
+    is re-verified before returning.  Raises NodeLimitExceeded when a node
+    budget is given and runs out; an optimum is never guessed.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
     if not 1 <= color <= spec.k:
         raise ValueError(f"objective color {color} outside 1..{spec.k}")
-    s = _Search(g, spec, (), node_limit, twin_pairs(g))
-    word = s.optimum(color, mode == "max")
-    return None if word is None else EdgeColoring(g, word, spec.k)
+    word = _Search(g, spec, node_limit, twins=True).optimum(color, mode == "max")
+    if word is None:
+        return None
+    coloring = EdgeColoring(g, word, spec.k)
+    if not is_critical(g, coloring, spec):
+        raise AssertionError("search produced an invalid extremal coloring")
+    return coloring
 
 
 def enumerate_critical_colorings(g: Graph, spec: CliqueVector, limit: int | None = None):
@@ -546,7 +512,8 @@ def serialize_coloring(coloring: EdgeColoring) -> str:
     return to_graph6(coloring.host) + "\n" + coloring.word() + "\n"
 
 
-def parse_coloring(text: str, k: int | None = None) -> EdgeColoring:
+def parse_coloring(text: str, k: int) -> EdgeColoring:
+    """The k-coloring serialize_coloring wrote; the text does not record k."""
     from .graph6 import parse_graph6
 
     lines = [line for line in text.splitlines() if line.strip()]
@@ -557,6 +524,4 @@ def parse_coloring(text: str, k: int | None = None) -> EdgeColoring:
     if len(digits) != host.edge_count:
         raise ValueError("color word length does not match the edge count")
     colors = tuple(int(ch) for ch in digits)
-    if k is None:
-        k = max(colors, default=1)
     return EdgeColoring(host, colors, k)

@@ -21,7 +21,7 @@ from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
-from .arrowing import CliqueVector, arrows, ordered_map, serialize_coloring
+from .arrowing import CliqueVector, arrows, serialize_coloring
 from .canonical import canonical_form
 from .cocritical import graph_facts, is_cocritical, is_minimal_cocritical, lemma_suite
 from .constructions import construction_by_name, sharp_mindeg_bound
@@ -180,6 +180,30 @@ def _worse_exit(a: int, b: int) -> int:
     return a if order.get(a, 0) >= order.get(b, 0) else b
 
 
+def ordered_map(fn, jobs: list, workers: int):
+    """fn over jobs, with the results in input order.
+
+    With fewer than two workers or two jobs this is the lazy built-in map,
+    so a caller can stop at any result.  Otherwise a process pool runs the
+    jobs in about eight chunks per worker, enough to balance uneven jobs
+    while keeping the per-chunk hand-over rare, and every result is ready
+    on return.  A job that raises stops the map and cancels the chunks not
+    yet started.
+    """
+    if workers < 2 or len(jobs) < 2:
+        return map(fn, jobs)
+    # Imported here because it loads multiprocessing, which a run with one
+    # worker never uses, and that import is a large share of start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = max(1, len(jobs) // (8 * workers))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, jobs, chunksize=chunksize))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _stream_records(cfg: argparse.Namespace, record) -> list:
     """record(cfg, line) per input line, in input order.
 
@@ -268,10 +292,7 @@ def cmd_scan(cfg: argparse.Namespace, out) -> int:
     lemma_pass = sum(holds)
     lemma_fail = len(holds) - lemma_pass
     deltas = [info["delta"] for info in cocritical_info]
-    try:
-        bound = sharp_mindeg_bound(spec)
-    except ValueError:
-        bound = None
+    bound = sharp_mindeg_bound(spec) if spec.is_standard() else None
     delta_ok = None if bound is None else all(d >= bound for d in deltas)
 
     summary = {

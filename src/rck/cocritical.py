@@ -21,6 +21,7 @@ from .arrowing import (
     extremal_critical_coloring,
 )
 from .constructions import (
+    NONSTANDARD_SPEC,
     hanson_toft_edge_count,
     known_ramsey,
     sharp_mindeg_bound,
@@ -101,10 +102,10 @@ def graph_facts(g: Graph, spec: CliqueVector) -> tuple[int, int | None, int | No
     co-critical.
     """
     chi = chromatic_number(g) if g.n <= CHROMATIC_MAX_VERTICES else None
-    known = known_ramsey(spec)
+    r = known_ramsey(spec)
     ht_bound = None
-    if known is not None and g.n >= known[0]:
-        ht_bound = hanson_toft_edge_count(known[0], g.n)
+    if r is not None and g.n >= r:
+        ht_bound = hanson_toft_edge_count(r, g.n)
     return degree_stats(g)[0], chi, ht_bound
 
 
@@ -246,23 +247,20 @@ def check_lemma_1_5(
     coloring_policy: str = MAXIMIZE_LAST,
     *,
     coloring: EdgeColoring | None = None,
-    include_d: bool = False,
 ) -> list[LemmaFinding]:
     """Structural checks on an extremal critical coloring of a co-critical graph.
 
     Policy "maximize-last" selects the coloring with the largest last color
     class and enables the clique-packing clauses; "minimize-first" selects
-    the smallest first class and (for k >= 3, include_d) the reduction check
+    the smallest first class and (for k >= 3) the reduction check
     that dropping the first color class leaves a co-critical graph.  Clauses
     quantify over vertices x of degree at most n-2.  The clique vector must
-    be sorted ascending with every entry >= 3.
+    be standard (CliqueVector.is_standard).
     """
     if coloring_policy not in (MAXIMIZE_LAST, MINIMIZE_FIRST):
         raise ValueError(f"unknown coloring policy {coloring_policy!r}")
-    if spec.k < 2:
-        raise ValueError("the structural checks need at least two colors")
-    if not spec.is_ascending() or any(t < 3 for t in spec.sizes):
-        raise ValueError("clique sizes must be ascending and at least 3")
+    if not spec.is_standard():
+        raise ValueError(NONSTANDARD_SPEC)
     if coloring is None:
         if coloring_policy == MAXIMIZE_LAST:
             coloring = extremal_critical_coloring(g, spec, spec.k, "max")
@@ -370,7 +368,7 @@ def check_lemma_1_5(
                         )
                     )
 
-    if coloring_policy == MINIMIZE_FIRST and include_d and k >= 3:
+    if coloring_policy == MINIMIZE_FIRST and k >= 3:
         findings.append(check_lemma_1_5d(g, spec, coloring))
 
     return findings
@@ -382,12 +380,8 @@ def check_lemma_1_5d(
     """Dropping a minimum first color class must leave a co-critical graph."""
     if spec.k < 3:
         raise ValueError("the reduction check needs at least three colors")
-    adj = list(g.adj)
-    for (u, v), c in zip(g.edges, coloring.colors):
-        if c == 1:
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-    reduced = Graph(g.n, tuple(adj))
+    first = coloring.class_adj(1)
+    reduced = Graph(g.n, tuple(a & ~f for a, f in zip(g.adj, first)))
     sub_report = is_cocritical(reduced, spec.drop_first())
     return LemmaFinding(
         "1.5d",
@@ -408,16 +402,16 @@ def mindeg_assert(g: Graph, spec: CliqueVector) -> LemmaFinding:
 def lemma_suite(g: Graph, spec: CliqueVector) -> list[LemmaFinding]:
     """All applicable structural checks for one co-critical graph.
 
-    The checks need at least two colors and ascending sizes with all
-    entries >= 3; otherwise there are no findings.  The chromatic bound runs
+    The checks need a standard clique vector (CliqueVector.is_standard);
+    otherwise there are no findings.  The chromatic bound runs
     when the Ramsey number for the clique vector is known.
     """
     findings: list[LemmaFinding] = []
-    if spec.k < 2 or not spec.is_ascending() or any(t < 3 for t in spec.sizes):
+    if not spec.is_standard():
         return findings
-    known = known_ramsey(spec)
-    if known is not None:
-        findings.append(check_lemma_1_2(g, spec, known[0]))
+    r = known_ramsey(spec)
+    if r is not None:
+        findings.append(check_lemma_1_2(g, spec, r))
     findings.append(mindeg_assert(g, spec))
     findings.extend(check_lemma_1_5(g, spec, MAXIMIZE_LAST))
     return findings

@@ -6,13 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .arrowing import (
-    VERIFIED_RAMSEY,
-    ArrowVerdict,
-    CliqueVector,
-    EdgeColoring,
-    arrows,
-)
+from .arrowing import ArrowVerdict, CliqueVector, EdgeColoring, arrows
 from .graphs import (
     Graph,
     complete_graph,
@@ -22,9 +16,12 @@ from .graphs import (
     remove_edge,
 )
 
+# Ramsey numbers small enough to re-prove by search.
+VERIFIED_RAMSEY = {(3, 3): 6, (3, 4): 9}
 # Ramsey values far beyond the search budget, only ever reported as cited.
-# The values the search engine re-verifies are arrowing.VERIFIED_RAMSEY.
 CITED_RAMSEY = {(3, 3, 3): 17}
+
+NONSTANDARD_SPEC = "the bounds need at least two colors and ascending targets >= 3"
 
 
 @dataclass(frozen=True)
@@ -38,14 +35,10 @@ class RamseyFact:
     lower_witness: EdgeColoring | None = None
 
 
-def known_ramsey(spec: CliqueVector) -> tuple[int, str] | None:
-    """Best known (r, provenance) for the spec, or None."""
+def known_ramsey(spec: CliqueVector) -> int | None:
+    """Best known Ramsey number for the spec, verified or cited, or None."""
     key = tuple(spec.sizes)
-    if key in VERIFIED_RAMSEY:
-        return VERIFIED_RAMSEY[key], "verified-by-search"
-    if key in CITED_RAMSEY:
-        return CITED_RAMSEY[key], "paper-cited"
-    return None
+    return VERIFIED_RAMSEY.get(key, CITED_RAMSEY.get(key))
 
 
 def ramsey_fact(spec: CliqueVector, *, verify: bool = True) -> RamseyFact:
@@ -67,10 +60,11 @@ def ramsey_fact(spec: CliqueVector, *, verify: bool = True) -> RamseyFact:
         if upper.arrows is not True or lower.arrows is not False:
             raise AssertionError(f"stored Ramsey value r({spec})={r} failed re-verification")
         return RamseyFact(spec, r, "verified-by-search", lower.witness)
-    known = known_ramsey(spec)
-    if known is None:
+    r = known_ramsey(spec)
+    if r is None:
         raise ValueError(f"no known Ramsey value for ({spec})")
-    return RamseyFact(spec, known[0], known[1], None)
+    provenance = "verified-by-search" if key in VERIFIED_RAMSEY else "paper-cited"
+    return RamseyFact(spec, r, provenance, None)
 
 
 def ramsey_lower_bound(s: int, t: int) -> int:
@@ -89,12 +83,8 @@ def mindeg_bound(spec: CliqueVector) -> int:
 
     Equals t_k - 2k - 1 + sum(t_i); for k = 2 this is 2*t_2 + t_1 - 5.
     """
-    if spec.k < 2:
-        raise ValueError("the bound requires at least two colors")
-    if not spec.is_ascending():
-        raise ValueError("clique sizes must be sorted ascending")
-    if any(t < 3 for t in spec.sizes):
-        raise ValueError("the bound requires every clique target >= 3")
+    if not spec.is_standard():
+        raise ValueError(NONSTANDARD_SPEC)
     return spec.sizes[-1] - 2 * spec.k - 1 + sum(spec.sizes)
 
 
@@ -116,10 +106,9 @@ def hanson_toft(spec: CliqueVector, n: int, r: int | None = None) -> Graph:
     """The co-critical construction: a clique on r-2 vertices joined to a
     stable set, with (r-2)(n-r+2) + C(r-2, 2) edges and minimum degree r-2."""
     if r is None:
-        known = known_ramsey(spec)
-        if known is None:
+        r = known_ramsey(spec)
+        if r is None:
             raise ValueError(f"Ramsey number unknown for ({spec}); supply r explicitly")
-        r = known[0]
     if n < r:
         raise ValueError(f"need n >= r = {r}, got n = {n}")
     g = join(complete_graph(r - 2), empty_graph(n - r + 2))

@@ -21,11 +21,10 @@ from rck.arrowing import (
     enumerate_critical_colorings,
     extremal_critical_coloring,
     is_critical,
-    ordered_map,
     parse_coloring,
     serialize_coloring,
-    symmetry_breaking_seed,
 )
+from rck.cli import ordered_map
 from rck.constructions import hanson_toft
 from rck.graphs import (
     add_edge,
@@ -67,8 +66,11 @@ class TestCliqueVector:
             CliqueVector.parse("3,x")
 
     def test_ordering_helpers(self):
-        assert CliqueVector((3, 4)).is_ascending()
-        assert not CliqueVector((4, 3)).is_ascending()
+        assert CliqueVector((3, 4)).is_standard()
+        assert CliqueVector((3, 3, 4)).is_standard()
+        assert not CliqueVector((4, 3)).is_standard()
+        assert not CliqueVector((2, 3)).is_standard()
+        assert not CliqueVector((3,)).is_standard()
         assert CliqueVector((3, 4, 4)).drop_first().sizes == (4, 4)
 
 
@@ -86,6 +88,12 @@ class TestIsCritical:
         k2 = complete_graph(2)
         assert is_critical(k2, EdgeColoring(k2, (1,), 2), S33)
         assert is_critical(k2, EdgeColoring(k2, (2,), 2), S33)
+
+    def test_class_adj_splits_the_edges(self):
+        coloring = c5_coloring_of_k5()
+        assert coloring.class_adj(1) == cycle_graph(5).adj
+        assert coloring.class_adj(2) == complement(cycle_graph(5)).adj
+        assert coloring.color_class(2) == complement(cycle_graph(5))
 
     def test_errors(self):
         k3 = complete_graph(3)
@@ -226,21 +234,21 @@ class TestOrderedMap:
 
 
 class TestSymmetryBreaking:
+    """Bit ell of a feasible-color mask stands for color ell."""
+
     def test_equal_targets_restrict_first_edge(self):
-        seed = symmetry_breaking_seed(complete_graph(6), S33)
-        assert seed == [((0, 1), (1,))]
+        assert _Search(complete_graph(6), S33, color_seed=True).dom[0] == 0b010
 
     def test_distinct_targets_on_complete_graph_restrict_nothing(self):
-        assert symmetry_breaking_seed(complete_graph(9), S34) == []
+        assert _Search(complete_graph(9), S34, color_seed=True).dom[0] == 0b110
 
     def test_non_complete_graph_color_restriction_only(self):
-        seed = symmetry_breaking_seed(cycle_graph(5), S33)
-        assert seed == [((0, 1), (1,))]
-        assert symmetry_breaking_seed(cycle_graph(5), S34) == []
+        assert _Search(cycle_graph(5), S33, color_seed=True).dom[0] == 0b010
+        assert _Search(cycle_graph(5), S34, color_seed=True).dom[0] == 0b110
 
     def test_three_color_groups(self):
-        seed = symmetry_breaking_seed(complete_graph(4), CliqueVector((3, 3, 4)))
-        assert seed == [((0, 1), (1, 3))]
+        s = _Search(complete_graph(4), CliqueVector((3, 3, 4)), color_seed=True)
+        assert s.dom[0] == 0b1010  # colors 1 and 3
 
     def test_twin_pairs(self):
         assert twin_pairs(complete_graph(4)) == [(0, 1), (1, 2), (2, 3)]
@@ -256,12 +264,11 @@ class TestSymmetryBreaking:
     @staticmethod
     def outcomes(g, spec, twins):
         """The verdict and the four optima |E_1|, |E_2| (max, min)."""
-        seed = symmetry_breaking_seed(g, spec)
-        arrowing = _Search(g, spec, seed, None, twins).decide() is None
+        arrowing = _Search(g, spec, color_seed=True, twins=twins).decide() is None
         optima = []
         for color in (1, 2):
             for maximizing in (True, False):
-                word = _Search(g, spec, (), None, twins).optimum(color, maximizing)
+                word = _Search(g, spec, twins=twins).optimum(color, maximizing)
                 if word is not None:
                     assert is_critical(g, EdgeColoring(g, word, spec.k), spec)
                 optima.append(None if word is None else word.count(color))
@@ -283,17 +290,15 @@ class TestSymmetryBreaking:
             (complete_multipartite_graph((2,) * 5), S33),
         ]
         for g, spec in graphs:
-            twins = twin_pairs(g)
-            on = self.outcomes(g, spec, twins)
-            if not twins:
+            on = self.outcomes(g, spec, True)
+            if not twin_pairs(g):
                 continue
             if on[0]:
                 # No critical coloring: a plain decide() settles the optima too.
                 assert on[1] == [None] * 4
-                seed = symmetry_breaking_seed(g, spec)
-                assert _Search(g, spec, seed).decide() is None
+                assert _Search(g, spec, color_seed=True).decide() is None
             else:
-                assert on == self.outcomes(g, spec, ()), g.adj
+                assert on == self.outcomes(g, spec, False), g.adj
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(min_n=2, max_n=5, max_edges=12))
@@ -316,13 +321,16 @@ class TestSearchCore:
     SPECS = (S33, S34, S35)
 
     @staticmethod
-    def assert_masks_exact(s: _Search, seed) -> None:
-        allowed = dict(seed)
+    def assert_masks_exact(s: _Search) -> None:
+        """For a search built with color_seed, which leaves edge 0 only the
+        least color of each group of equal targets."""
+        targets = s.targets
+        least = [ell for ell, t in enumerate(targets, 1) if targets.index(t) == ell - 1]
         for i, (u, v) in enumerate(s.edges):
             if s.colors[i]:
                 continue
             want = 0
-            for ell in allowed.get((u, v), range(1, s.k + 1)):
+            for ell in least if i == 0 else range(1, s.k + 1):
                 if not completes_clique(s.adjc[ell], s.targets[ell - 1], u, v):
                     want |= 1 << ell
             assert s.dom[i] == want, (i, s.colors)
@@ -337,10 +345,9 @@ class TestSearchCore:
     @settings(max_examples=120, deadline=None)
     @given(GRAPHS, st.sampled_from(SPECS), st.data())
     def test_masks_match_recomputation_after_every_step(self, g, spec, data):
-        seed = symmetry_breaking_seed(g, spec)
-        s = _Search(g, spec, seed)
+        s = _Search(g, spec, color_seed=True)
         initial = _search_state(s)
-        self.assert_masks_exact(s, seed)
+        self.assert_masks_exact(s)
         stack: list[int] = []
         for _ in range(data.draw(st.integers(0, 60))):
             open_edges = [i for i in range(s.m) if not s.colors[i] and s.dom[i]]
@@ -356,7 +363,7 @@ class TestSearchCore:
                 assert wiped == bool(now - empty)
             elif stack:
                 s.unassign(stack.pop())
-            self.assert_masks_exact(s, seed)
+            self.assert_masks_exact(s)
         while stack:
             s.unassign(stack.pop())
         assert s.trail == [] and _search_state(s) == initial
@@ -364,15 +371,14 @@ class TestSearchCore:
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(min_n=5, max_n=9, max_edges=14), st.sampled_from(SPECS))
     def test_full_runs_restore_the_initial_state(self, g, spec):
-        twins = twin_pairs(g)
         runs = [
-            (symmetry_breaking_seed(g, spec), twins, lambda s: s.decide()),
-            ((), twins, lambda s: s.optimum(1, True)),
-            ((), twins, lambda s: s.optimum(spec.k, False)),
-            ((), (), lambda s: list(s.critical_words())),
+            (True, True, lambda s: s.decide()),
+            (False, True, lambda s: s.optimum(1, True)),
+            (False, True, lambda s: s.optimum(spec.k, False)),
+            (False, False, lambda s: list(s.critical_words())),
         ]
-        for seed, twins, run in runs:
-            s = _Search(g, spec, seed, None, twins)
+        for color_seed, twins, run in runs:
+            s = _Search(g, spec, color_seed=color_seed, twins=twins)
             initial = _search_state(s)
             run(s)
             assert s.trail == [] and s.marks == []
@@ -513,8 +519,18 @@ class TestWitnessSerialization:
         assert parsed == coloring
         assert serialize_coloring(parsed) == text
 
+    def test_unused_top_color_round_trips(self):
+        # Every edge of C5 gets color 1, so the text alone cannot tell k.
+        c5 = cycle_graph(5)
+        witness = arrows(c5, S33).witness
+        text = serialize_coloring(witness)
+        assert text == "Dhc\n11111\n"
+        parsed = parse_coloring(text, k=2)
+        assert parsed == witness
+        assert is_critical(c5, parsed, S33)
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
-            parse_coloring("Bw\n12\n")  # wrong word length
+            parse_coloring("Bw\n12\n", k=2)  # wrong word length
         with pytest.raises(ValueError):
-            parse_coloring("Bw\n")
+            parse_coloring("Bw\n", k=2)

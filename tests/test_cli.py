@@ -342,6 +342,18 @@ class TestConfig:
 
 
 class TestConsoleEntry:
+    def test_import_starts_no_pool_machinery(self):
+        # concurrent.futures loads multiprocessing, a large share of start-up
+        # that a run with one worker never needs.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rck, rck.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout == "False\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "rck.cli", "arrow", "--spec", "3,3",

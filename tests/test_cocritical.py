@@ -249,9 +249,7 @@ class TestLemma15:
         # reduction path; a genuine (3,3,3)-co-critical instance would need
         # at least 17 vertices.
         g = hanson_toft(S33, 6)
-        findings = check_lemma_1_5(
-            g, CliqueVector((3, 3, 3)), MINIMIZE_FIRST, include_d=True
-        )
+        findings = check_lemma_1_5(g, CliqueVector((3, 3, 3)), MINIMIZE_FIRST)
         d_findings = [f for f in findings if f.clause == "1.5d"]
         assert len(d_findings) == 1
         assert d_findings[0].holds

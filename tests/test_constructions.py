@@ -111,7 +111,7 @@ class TestRamseyFact:
         assert fact.lower_witness is None
 
     def test_known_ramsey(self):
-        assert known_ramsey(S33) == (6, "verified-by-search")
+        assert known_ramsey(S33) == 6
         assert known_ramsey(CliqueVector((4, 4))) is None
 
 
