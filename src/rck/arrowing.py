@@ -15,6 +15,7 @@ from itertools import islice
 from dataclasses import dataclass
 from functools import cached_property
 
+from .graph6 import parse_graph6, to_graph6
 from .graphs import Graph, bits, mask_has_clique, twin_pairs
 
 MAX_COLORS = 4
@@ -116,10 +117,6 @@ class ArrowVerdict:
     arrows: bool | None
     witness: EdgeColoring | None
     stats: SearchStats
-
-    @property
-    def indeterminate(self) -> bool:
-        return self.arrows is None
 
 
 def is_critical(g: Graph, coloring: EdgeColoring, spec: CliqueVector) -> bool:
@@ -432,20 +429,17 @@ def arrows(
     *,
     workers: int = 1,
     node_limit: int | None = None,
-    symmetry_breaking: bool = True,
 ) -> ArrowVerdict:
     """Decide whether every spec.k-edge coloring of g has a monochromatic target.
 
     One search decides; past node_limit nodes the verdict is indeterminate.
     The witness is the first critical coloring found and is re-verified
-    before returning.  symmetry_breaking adds the color seed and the twin
+    before returning.  The search keeps the color seed and the twin
     lex-leader constraints, which change the witness and the node count but
     never the verdict.  workers is accepted for compatibility and unused.
     """
     t0 = time.perf_counter()
-    s = _Search(
-        g, spec, node_limit, color_seed=symmetry_breaking, twins=symmetry_breaking
-    )
+    s = _Search(g, spec, node_limit, color_seed=True, twins=True)
     verdict = None
     try:
         word = s.decide()
@@ -507,15 +501,11 @@ def enumerate_critical_colorings(g: Graph, spec: CliqueVector, limit: int | None
 
 def serialize_coloring(coloring: EdgeColoring) -> str:
     """Two lines: the graph6 of the host, then the color word."""
-    from .graph6 import to_graph6
-
     return to_graph6(coloring.host) + "\n" + coloring.word() + "\n"
 
 
 def parse_coloring(text: str, k: int) -> EdgeColoring:
     """The k-coloring serialize_coloring wrote; the text does not record k."""
-    from .graph6 import parse_graph6
-
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) != 2:
         raise ValueError("expected a graph6 line followed by a color line")

@@ -4,7 +4,8 @@ Subcommands: arrow, cocritical, saturated (one JSON or text record per input
 graph) and scan (one summary record for a whole graph6 stream).  Inputs come
 from a named construction, a graph6 file, or stdin.  Records are emitted in
 input order and are byte-identical across runs and worker counts; timing
-information appears only with --timing.
+information appears only with arrow --timing.  A text record is one line:
+its witness is the graph6 and the color word separated by one space.
 
 Exit codes: 0 all assertions hold, 1 a theorem assertion failed, 2 input
 error, 3 node budget exceeded (indeterminate).
@@ -67,20 +68,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=brief)
         if name == "saturated":
             p.add_argument("--t", type=int, required=True, help="clique target")
-            p.set_defaults(spec=None)
+            p.set_defaults(spec=None, node_limit=None)
         else:
             p.add_argument("--spec", required=True, help="clique sizes, e.g. 3,3")
+            p.add_argument("--node-limit", type=int, default=None)
         p.add_argument("--construct", help="named construction instead of a stream")
         p.add_argument("--in", dest="in_path", help="graph6 file (default: stdin)")
         if name == "cocritical":
             p.add_argument("--lemmas", action="store_true", help="append findings")
             p.add_argument("--minimal", action="store_true", help="append minimality")
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--node-limit", type=int, default=None)
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="json_out", action="store_true", default=True)
         fmt.add_argument("--text", dest="json_out", action="store_false")
-        p.add_argument("--timing", action="store_true")
         p.add_argument(
             "--report",
             dest="report_path",
@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="also write records to this file",
         )
         if name == "arrow":
+            p.add_argument("--timing", action="store_true")
             p.add_argument("--witness-dir", help="write witness files here")
         else:
             p.set_defaults(witness_dir=None)
@@ -148,8 +149,9 @@ def _emit(out, record: dict, cfg: argparse.Namespace) -> None:
     if cfg.json_out:
         out.write(json.dumps(record) + "\n")
     else:
+        # The witness drops the newlines of serialize_coloring's two lines.
         parts = (
-            f"{key}={value}"
+            f"{key}={' '.join(value.split()) if key == 'witness' else value}"
             for key, value in record.items()
             if value or key not in ("witness", "lemmas", "stats")
         )
@@ -228,7 +230,7 @@ def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
         record["stats"]["wall_time"] = round(verdict.stats.wall_time, 6)
     if verdict.witness is not None:
         record["witness"] = serialize_coloring(verdict.witness)
-    code = EXIT_INDETERMINATE if verdict.indeterminate else EXIT_OK
+    code = EXIT_INDETERMINATE if verdict.arrows is None else EXIT_OK
     return record, code
 
 

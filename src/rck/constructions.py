@@ -1,12 +1,11 @@
 """Named extremal constructions, closed-form degree/edge bounds, and the
-small Ramsey facts the verifiers consume."""
+small Ramsey values the verifiers consume."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .arrowing import ArrowVerdict, CliqueVector, EdgeColoring, arrows
+from .arrowing import CliqueVector
 from .graphs import (
     Graph,
     complete_graph,
@@ -24,47 +23,14 @@ CITED_RAMSEY = {(3, 3, 3): 17}
 NONSTANDARD_SPEC = "the bounds need at least two colors and ascending targets >= 3"
 
 
-@dataclass(frozen=True)
-class RamseyFact:
-    """A Ramsey number with its provenance and, when verified, the critical
-    coloring of the complete graph one vertex below."""
-
-    spec: CliqueVector
-    r: int
-    provenance: str  # "verified-by-search" | "paper-cited"
-    lower_witness: EdgeColoring | None = None
-
-
 def known_ramsey(spec: CliqueVector) -> int | None:
-    """Best known Ramsey number for the spec, verified or cited, or None."""
-    key = tuple(spec.sizes)
-    return VERIFIED_RAMSEY.get(key, CITED_RAMSEY.get(key))
+    """Best known Ramsey number for the spec, verified or cited, or None.
 
-
-def ramsey_fact(spec: CliqueVector, *, verify: bool = True) -> RamseyFact:
-    """Ramsey number for the given clique vector; verified mode re-runs both searches.
-
-    Verified mode checks K_r arrows and K_{r-1} does not, storing the
-    critical coloring of K_{r-1} as a re-checkable witness.
+    Ramsey numbers do not depend on the order of the targets, so the
+    tables hold ascending targets and the spec is looked up sorted.
     """
-    key = tuple(spec.sizes)
-    if verify:
-        if key not in VERIFIED_RAMSEY:
-            raise ValueError(
-                f"no search-verifiable Ramsey value for ({spec}); "
-                "use verify=False for cited values"
-            )
-        r = VERIFIED_RAMSEY[key]
-        upper: ArrowVerdict = arrows(complete_graph(r), spec)
-        lower: ArrowVerdict = arrows(complete_graph(r - 1), spec)
-        if upper.arrows is not True or lower.arrows is not False:
-            raise AssertionError(f"stored Ramsey value r({spec})={r} failed re-verification")
-        return RamseyFact(spec, r, "verified-by-search", lower.witness)
-    r = known_ramsey(spec)
-    if r is None:
-        raise ValueError(f"no known Ramsey value for ({spec})")
-    provenance = "verified-by-search" if key in VERIFIED_RAMSEY else "paper-cited"
-    return RamseyFact(spec, r, provenance, None)
+    key = tuple(sorted(spec.sizes))
+    return VERIFIED_RAMSEY.get(key, CITED_RAMSEY.get(key))
 
 
 def ramsey_lower_bound(s: int, t: int) -> int:
@@ -102,13 +68,13 @@ def hanson_toft_edge_count(r: int, n: int) -> int:
     return (r - 2) * (n - r + 2) + comb(r - 2, 2)
 
 
-def hanson_toft(spec: CliqueVector, n: int, r: int | None = None) -> Graph:
-    """The co-critical construction: a clique on r-2 vertices joined to a
-    stable set, with (r-2)(n-r+2) + C(r-2, 2) edges and minimum degree r-2."""
+def hanson_toft(spec: CliqueVector, n: int) -> Graph:
+    """The co-critical construction for r = known_ramsey(spec): a clique on
+    r-2 vertices joined to a stable set, with (r-2)(n-r+2) + C(r-2, 2) edges
+    and minimum degree r-2."""
+    r = known_ramsey(spec)
     if r is None:
-        r = known_ramsey(spec)
-        if r is None:
-            raise ValueError(f"Ramsey number unknown for ({spec}); supply r explicitly")
+        raise ValueError(f"Ramsey number unknown for ({spec})")
     if n < r:
         raise ValueError(f"need n >= r = {r}, got n = {n}")
     g = join(complete_graph(r - 2), empty_graph(n - r + 2))

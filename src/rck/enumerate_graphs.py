@@ -57,7 +57,3 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
         for size, forms in levels.items()
     }
 
-
-def all_graphs(n: int) -> list[Graph]:
-    """All non-isomorphic graphs on exactly n vertices, canonically labeled."""
-    return graphs_up_to(n)[n]

@@ -72,11 +72,3 @@ def parse_graph6(line: str) -> Graph:
             bit >>= 1
     return Graph(n, tuple(adj))
 
-
-def iter_graph6(lines):
-    """Yield graphs from an iterable of lines, skipping blanks."""
-    for line in lines:
-        text = line.strip()
-        if not text:
-            continue
-        yield parse_graph6(text)

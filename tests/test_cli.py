@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rck.cli import EXIT_INDETERMINATE, EXIT_INPUT_ERROR, EXIT_OK, run
+from rck.cli import EXIT_INDETERMINATE, EXIT_INPUT_ERROR, EXIT_OK, main, run
 from rck.graph6 import parse_graph6, to_graph6
 from rck.graphs import complete_graph, cycle_graph, empty_graph
 
@@ -96,6 +96,35 @@ class TestArrowCommand:
         code, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:6", "--text"])
         assert code == EXIT_OK
         assert "verdict=True" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["arrow", "--spec", "3,3", "--construct", "kn:5"],
+        ["cocritical", "--spec", "3,3", "--construct", "k6minus"],
+    ], ids=["arrow", "cocritical"])
+    def test_text_record_is_one_line(self, argv):
+        # The witness is the graph6 and the color word, one space apart.
+        _, json_out = invoke(argv)
+        g6, word = records(json_out)[0]["witness"].split("\n", 1)
+        code, out = invoke([*argv, "--text"])
+        assert code == EXIT_OK
+        assert out.count("\n") == 1
+        assert f"  witness={g6} {word.strip()}  " in out
+
+    def test_stream_skips_blank_lines(self):
+        stream = "Bw\n\n  \n@\n"
+        code, out = invoke(["arrow", "--spec", "3,3"], stdin_text=stream)
+        assert code == EXIT_OK
+        assert [rec["g6"] for rec in records(out)] == ["Bw", "@"]
+
+    def test_target_order_does_not_matter(self):
+        _, ascending = invoke(["arrow", "--spec", "3,4", "--construct", "kn:9"])
+        code, out = invoke(["arrow", "--spec", "4,3", "--construct", "kn:9"])
+        assert code == EXIT_OK
+        assert records(out)[0]["ht_bound"] == records(ascending)[0]["ht_bound"] == 35
+        code, out = invoke(["arrow", "--spec", "3,4", "--construct", "hanson-toft:4,3:9"])
+        assert code == EXIT_OK
+        _, ascending = invoke(["arrow", "--spec", "3,4", "--construct", "hanson-toft:3,4:9"])
+        assert out == ascending
 
     def test_no_hanson_toft_bound_below_r(self):
         # No graph on fewer than r(3,3) = 6 vertices is co-critical.
@@ -339,6 +368,18 @@ class TestConfig:
     def test_missing_file(self):
         code, _ = invoke(["arrow", "--spec", "3,3", "--in", "/nonexistent.g6"])
         assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("argv", [
+        ["cocritical", "--spec", "3,3", "--construct", "k6minus", "--timing"],
+        ["scan", "--spec", "3,3", "--construct", "k6minus", "--timing"],
+        ["saturated", "--t", "3", "--construct", "kn:3", "--timing"],
+        ["saturated", "--t", "3", "--construct", "kn:3", "--node-limit", "5"],
+    ], ids=["cocritical-timing", "scan-timing", "saturated-timing", "saturated-node-limit"])
+    def test_option_only_on_the_commands_that_read_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConsoleEntry:

@@ -279,7 +279,7 @@ class TestMindegAssert:
     def test_bounds_per_spec(self):
         assert mindeg_assert(k6_minus(), S33).context["bound"] == 4
         assert mindeg_assert(hanson_toft(S34, 9), S34).context["bound"] == 7
-        g333 = hanson_toft(CliqueVector((3, 3, 3)), 17, r=17)
+        g333 = hanson_toft(CliqueVector((3, 3, 3)), 17)
         assert mindeg_assert(g333, CliqueVector((3, 3, 3))).context["bound"] == 5
 
     def test_holds_on_examples(self):

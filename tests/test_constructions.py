@@ -1,14 +1,15 @@
 import pytest
 
-from rck.arrowing import CliqueVector, is_critical
+from rck.arrowing import CliqueVector, arrows, is_critical
 from rck.constructions import (
+    CITED_RAMSEY,
+    VERIFIED_RAMSEY,
     construction_by_name,
     hanson_toft,
     hanson_toft_edge_count,
     k6_minus,
     known_ramsey,
     mindeg_bound,
-    ramsey_fact,
     ramsey_lower_bound,
     sharp_mindeg_bound,
 )
@@ -42,11 +43,13 @@ class TestHansonToft:
             for n in range(r, r + 3):
                 assert degree_stats(hanson_toft(spec, n))[0] == r - 2
 
-    def test_unknown_spec_needs_user_r(self):
+    def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError):
             hanson_toft(CliqueVector((4, 4)), 20)
-        g = hanson_toft(CliqueVector((4, 4)), 20, r=18)
-        assert g.n == 20 and degree_stats(g)[0] == 16
+
+    def test_target_order_does_not_matter(self):
+        assert hanson_toft(CliqueVector((4, 3)), 9) == hanson_toft(S34, 9)
+        assert construction_by_name("hanson-toft:4,3:9") == hanson_toft(S34, 9)
 
     def test_n_below_r_rejected(self):
         with pytest.raises(ValueError):
@@ -94,25 +97,28 @@ class TestRamseyLowerBound:
 
 
 class TestRamseyFact:
+    """The Ramsey values of VERIFIED_RAMSEY and CITED_RAMSEY."""
+
     def test_verified_values_with_witnesses(self):
-        fact33 = ramsey_fact(S33)
-        assert fact33.r == 6 and fact33.provenance == "verified-by-search"
-        assert is_critical(complete_graph(5), fact33.lower_witness, S33)
-        fact34 = ramsey_fact(S34)
-        assert fact34.r == 9 and fact34.provenance == "verified-by-search"
-        assert is_critical(complete_graph(8), fact34.lower_witness, S34)
+        """Search re-proves every stored value r: K_r arrows, and K_{r-1}
+        has a critical coloring."""
+        assert set(VERIFIED_RAMSEY) == {(3, 3), (3, 4)}
+        for sizes, r in VERIFIED_RAMSEY.items():
+            spec = CliqueVector(sizes)
+            assert arrows(complete_graph(r), spec).arrows is True
+            lower = arrows(complete_graph(r - 1), spec)
+            assert lower.arrows is False
+            assert is_critical(complete_graph(r - 1), lower.witness, spec)
 
     def test_cited_only_spec(self):
-        spec = CliqueVector((3, 3, 3))
-        with pytest.raises(ValueError):
-            ramsey_fact(spec)  # out of the verified budget
-        fact = ramsey_fact(spec, verify=False)
-        assert fact.r == 17 and fact.provenance == "paper-cited"
-        assert fact.lower_witness is None
+        assert (3, 3, 3) in CITED_RAMSEY and (3, 3, 3) not in VERIFIED_RAMSEY
+        assert known_ramsey(CliqueVector((3, 3, 3))) == 17
 
     def test_known_ramsey(self):
         assert known_ramsey(S33) == 6
         assert known_ramsey(CliqueVector((4, 4))) is None
+        # Ramsey numbers do not depend on the order of the targets.
+        assert known_ramsey(CliqueVector((4, 3))) == 9
 
 
 class TestConstructionNames:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
-from rck.graph6 import iter_graph6, parse_graph6, to_graph6
+from rck.graph6 import parse_graph6, to_graph6
 from rck.graphs import MAX_VERTICES, complete_graph, empty_graph, from_edges
 
 
@@ -59,8 +59,3 @@ def test_round_trip_line_identity():
             assert parse_graph6(line) == g
             assert to_graph6(parse_graph6(line)) == line
 
-
-def test_iter_graph6_skips_blanks():
-    text = ["Bw", "", "  ", "@\n"]
-    graphs = list(iter_graph6(text))
-    assert graphs == [complete_graph(3), empty_graph(1)]
