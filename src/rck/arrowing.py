@@ -48,6 +48,10 @@ class CliqueVector:
         sizes = self.sizes
         return self.k >= 2 and sizes[0] >= 3 and list(sizes) == sorted(sizes)
 
+    def sorted(self) -> "CliqueVector":
+        """The targets in ascending order; arrowing ignores their order."""
+        return CliqueVector(tuple(sorted(self.sizes)))
+
     def drop_first(self) -> "CliqueVector":
         if self.k < 2:
             raise ValueError("cannot drop the only color")

@@ -1,109 +1,109 @@
 """Canonical labeling for graphs on at most 12 vertices.
 
-Degree refinement splits the vertices into order-invariant classes, then a
-backtracking search over class-respecting relabelings finds the relabeling
-whose graph6 bit stream is lexicographically smallest.  Equal canonical byte
-strings therefore mean isomorphic graphs and vice versa.
+Counting refinement on the adjacency bitmasks splits the vertices into
+order-invariant classes, then a backtracking search over class-respecting
+relabelings finds the one whose graph6 bit stream is lexicographically
+smallest.  Each placement extends every vertex's adjacency column by one bit,
+so the winning columns are that bit stream.  Equal canonical byte strings
+therefore mean isomorphic graphs and vice versa.  Leaves that tie differ by an
+automorphism; `automorphism_generators` reports those and the twin swaps.
 """
 
 from __future__ import annotations
 
-from .graph6 import to_graph6
-from .graphs import Graph, bits, relabel, twin_pairs
+from .graphs import Graph, twin_pairs
 
 CANONICAL_MAX_VERTICES = 12
 
 _HIGH = 1 << 40  # sentinel larger than any column value
 
 
+def _ranks(keys: list) -> list[int]:
+    """Dense rank of each key among the distinct keys, smallest first."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(keys)
+    rank = 0
+    for prev, v in zip(order, order[1:]):
+        rank += keys[v] != keys[prev]
+        ranks[v] = rank
+    return ranks
+
+
 def refinement_classes(g: Graph) -> list[int]:
     """Stable per-vertex class ids from iterated degree refinement.
 
-    Ids are assigned by sorted signature, so they are invariant under
-    relabeling: isomorphic vertices always receive the same id.
+    Ids are ranks of sorted signatures, so they are invariant under
+    relabeling: isomorphic vertices always receive the same id.  Start from
+    the degree ranks; a round ranks each vertex by its class, then by its
+    neighbour count in each class, more neighbours in a lower class first,
+    and stops when no class splits.
     """
-    n = g.n
-    colors = [0] * n
+    colors = _ranks([a.bit_count() for a in g.adj])
     while True:
-        sigs = []
-        for v in range(n):
-            neigh = sorted(colors[w] for w in bits(g.adj[v]))
-            sigs.append((colors[v], tuple(neigh)))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
+        classes = [0] * (max(colors) + 1)
+        if len(classes) == g.n:
+            return colors
+        for v, c in enumerate(colors):
+            classes[c] |= 1 << v
+        new = _ranks([(c, [-(a & m).bit_count() for m in classes]) for c, a in zip(colors, g.adj)])
         if new == colors:
             return colors
         colors = new
 
 
-class _OrbitUnion:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+    """(columns, vertices, automorphisms) of the canonical relabeling.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        fx, fy = self.find(x), self.find(y)
-        if fx != fy:
-            self.parent[fy] = fx
-
-
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Relabeling (old vertex -> new label) realizing the canonical form."""
+    columns[j] is the adjacency column of position j+1 against positions
+    0..j, first row in the most significant bit (graph6 bit order), and
+    vertices[i] is the vertex at position i.
+    """
     if g.n > CANONICAL_MAX_VERTICES:
         raise ValueError(
             f"canonical_form supports at most {CANONICAL_MAX_VERTICES} vertices"
         )
     n = g.n
     adj = g.adj
-    if n == 1:
-        return (0,)
-
     colors = refinement_classes(g)
     # Swapping twins is an automorphism, so each level tries one vertex of
-    # each twin class; twin[v] names v's class.
+    # each twin class; twin[v] names v's class.  A tied leaf maps the vertex
+    # at each position of the best leaf to the one at that position here.
     twin = list(range(n))
+    automorphisms = []
     for a, b in twin_pairs(g):
         twin[b] = twin[a]
+        swap = list(range(n))
+        swap[a], swap[b] = b, a
+        automorphisms.append(tuple(swap))
     required = sorted(colors)  # class id that each position must hold
 
-    # best[j] is the adjacency column of position j+1 against positions 0..j,
-    # first row in the most significant bit (graph6 bit order).
     best = [_HIGH] * (n - 1)
     perm: list[int] = []  # position -> vertex
-    placed_bits = [0] * n  # vertex -> bit of its position, 0 if unplaced
     best_perm: list[int] | None = None
-    orbits = _OrbitUnion(n)
+    orbit = list(range(n))  # vertex -> orbit id under the automorphisms found
 
-    def place(p: int) -> None:
+    def place(p: int, cols: list[int]) -> None:
+        # cols[v] is v's adjacency to positions 0..p-1, position 0 highest.
         nonlocal best_perm
         if p == n:
             if best_perm is None:
                 best_perm = perm.copy()
             else:
-                # A tie reveals an automorphism; remember its orbits so the
-                # root level skips equivalent starting vertices.
+                # A tie reveals an automorphism; its orbits let the root
+                # level skip equivalent starting vertices.
+                image = [0] * n
                 for a, b in zip(best_perm, perm):
-                    orbits.union(a, b)
+                    image[a] = b
+                    keep, drop = orbit[a], orbit[b]
+                    orbit[:] = [keep if o == drop else o for o in orbit]
+                automorphisms.append(tuple(image))
             return
         want = required[p]
-        cands = [v for v in range(n) if placed_bits[v] == 0 and colors[v] == want]
-        scored = []
-        for v in cands:
-            col = 0
-            row = adj[v]
-            for i in range(p):
-                col = (col << 1) | (row >> perm[i] & 1)
-            scored.append((col, v))
-        scored.sort()
+        scored = sorted((cols[v], v) for v in range(n) if colors[v] == want and v not in perm)
         tried = 0  # twin classes tried at this level, as a mask
         tried_roots: list[int] = []
         for col, v in scored:
-            if p == 0 and any(orbits.find(v) == orbits.find(u) for u in tried_roots):
+            if p == 0 and any(orbit[v] == orbit[u] for u in tried_roots):
                 continue
             if tried >> twin[v] & 1:
                 continue
@@ -120,19 +120,33 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
             if p == 0:
                 tried_roots.append(v)
             perm.append(v)
-            placed_bits[v] = 1
-            place(p + 1)
-            placed_bits[v] = 0
+            place(p + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)])
             perm.pop()
 
-    place(0)
+    place(0, [0] * n)
     assert best_perm is not None
-    out = [0] * n
-    for pos, v in enumerate(best_perm):
-        out[v] = pos
-    return tuple(out)
+    return best, best_perm, automorphisms
+
+
+def canonical_permutation(g: Graph) -> tuple[int, ...]:
+    """Relabeling (old vertex -> new label) realizing the canonical form."""
+    return tuple(sorted(range(g.n), key=_search(g)[1].__getitem__))
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms of g (sigma[v] is the image of v): the twin swaps and
+    one per tied leaf of the canonical search.  They generate a subgroup of
+    Aut(g), not always all of it."""
+    return _search(g)[2]
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: equal iff the graphs are isomorphic."""
-    return to_graph6(relabel(g, canonical_permutation(g))).encode("ascii")
+    """Canonical byte string: equal iff the graphs are isomorphic.  It is
+    graph6, packed from the search's winning columns."""
+    word = 0
+    for j, col in enumerate(_search(g)[0]):
+        word = word << (j + 1) | col
+    nbits = g.n * (g.n - 1) // 2
+    groups = (nbits + 5) // 6
+    word <<= 6 * groups - nbits
+    return bytes([63 + g.n] + [63 + (word >> 6 * i & 63) for i in range(groups - 1, -1, -1)])

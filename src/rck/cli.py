@@ -294,7 +294,7 @@ def cmd_scan(cfg: argparse.Namespace, out) -> int:
     lemma_pass = sum(holds)
     lemma_fail = len(holds) - lemma_pass
     deltas = [info["delta"] for info in cocritical_info]
-    bound = sharp_mindeg_bound(spec) if spec.is_standard() else None
+    bound = sharp_mindeg_bound(spec) if spec.sorted().is_standard() else None
     delta_ok = None if bound is None else all(d >= bound for d in deltas)
 
     summary = {

@@ -402,11 +402,13 @@ def mindeg_assert(g: Graph, spec: CliqueVector) -> LemmaFinding:
 def lemma_suite(g: Graph, spec: CliqueVector) -> list[LemmaFinding]:
     """All applicable structural checks for one co-critical graph.
 
-    The checks need a standard clique vector (CliqueVector.is_standard);
-    otherwise there are no findings.  The chromatic bound runs
-    when the Ramsey number for the clique vector is known.
+    The checks run on the sorted spec, since co-criticality does not depend
+    on the order of the targets.  They need a standard sorted spec
+    (CliqueVector.is_standard); otherwise there are no findings.  The
+    chromatic bound runs when the Ramsey number for the spec is known.
     """
     findings: list[LemmaFinding] = []
+    spec = spec.sorted()
     if not spec.is_standard():
         return findings
     r = known_ramsey(spec)

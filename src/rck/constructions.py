@@ -26,10 +26,9 @@ NONSTANDARD_SPEC = "the bounds need at least two colors and ascending targets >=
 def known_ramsey(spec: CliqueVector) -> int | None:
     """Best known Ramsey number for the spec, verified or cited, or None.
 
-    Ramsey numbers do not depend on the order of the targets, so the
-    tables hold ascending targets and the spec is looked up sorted.
+    The tables hold ascending targets and the spec is looked up sorted.
     """
-    key = tuple(sorted(spec.sizes))
+    key = spec.sorted().sizes
     return VERIFIED_RAMSEY.get(key, CITED_RAMSEY.get(key))
 
 
@@ -59,9 +58,11 @@ SHARP_MINDEG = {(3, 3): 4, (3, 4): 7}
 
 
 def sharp_mindeg_bound(spec: CliqueVector) -> int:
-    """mindeg_bound upgraded to the sharp value where one is known."""
+    """mindeg_bound of the sorted spec, upgraded to the sharp value where
+    one is known."""
+    spec = spec.sorted()
     base = mindeg_bound(spec)
-    return max(base, SHARP_MINDEG.get(tuple(spec.sizes), base))
+    return max(base, SHARP_MINDEG.get(spec.sizes, base))
 
 
 def hanson_toft_edge_count(r: int, n: int) -> int:

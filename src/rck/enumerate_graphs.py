@@ -9,9 +9,9 @@ published numbers of non-isomorphic simple graphs (1, 2, 4, 11, 34, 156,
 
 from __future__ import annotations
 
-from .canonical import canonical_form
+from .canonical import automorphism_generators, canonical_form
 from .graph6 import parse_graph6
-from .graphs import Graph, degree_stats
+from .graphs import Graph, bits, degree_stats
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -30,6 +30,13 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
     extending g by the image of N(w) gives a graph isomorphic to H in which
     the new vertex has minimum degree.
 
+    Only the first admissible mask of each orbit under automorphisms of g
+    is canonicalised.  An automorphism sigma of g preserves degrees, so
+    sigma(mask) passes the filter exactly when mask does, and sigma extends
+    to an isomorphism from g + N(mask) to g + N(sigma(mask)) that fixes the
+    new vertex: the skipped masks give no new class.  Generators of any
+    subgroup of Aut(g) suffice.
+
     Each list is sorted by canonical graph6 string, so its order is a
     deterministic function of the vertex count alone.
     """
@@ -43,10 +50,20 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
             g = parse_graph6(form.decode("ascii"))
             delta, _, degs = degree_stats(g)
             low = sum(1 << v for v, dv in enumerate(degs) if dv == delta)
+            generators = automorphism_generators(g)
+            seen: set[int] = set()
             for mask in range(1 << (size - 1)):
                 d = mask.bit_count()
-                if d > delta and (d > delta + 1 or mask & low != low):
+                if mask in seen or d > delta and (d > delta + 1 or mask & low != low):
                     continue
+                orbit = [mask]
+                seen.add(mask)
+                for x in orbit:
+                    for sigma in generators:
+                        y = sum(1 << sigma[v] for v in bits(x))
+                        if y not in seen:
+                            seen.add(y)
+                            orbit.append(y)
                 adj = [g.adj[v] | ((mask >> v & 1) << (size - 1)) for v in range(size - 1)]
                 adj.append(mask)
                 nxt.add(canonical_form(Graph(size, tuple(adj))))

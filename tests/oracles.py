@@ -53,6 +53,22 @@ def permutation_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def sorted_tuple_refinement(g: Graph) -> list[int]:
+    """Class ids by iterated refinement from one class: each round ranks
+    (own class, sorted tuple of neighbour classes) until nothing splits."""
+    colors = [0] * g.n
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[w] for w in range(g.n) if g.adj[v] >> w & 1)))
+            for v in range(g.n)
+        ]
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
 def complement_clique_components(g: Graph) -> tuple[bool, int]:
     """(complete multipartite, part count) from the definition: every
     connected component of the complement is a clique of the complement."""

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
-from oracles import permutation_isomorphic
+from oracles import permutation_isomorphic, sorted_tuple_refinement
 from rck.arrowing import CliqueVector
-from rck.canonical import canonical_form, canonical_permutation
+from rck.canonical import (
+    automorphism_generators,
+    canonical_form,
+    canonical_permutation,
+    refinement_classes,
+)
 from rck.constructions import hanson_toft
+from rck.graph6 import to_graph6
 from rck.graphs import (
     complete_graph,
     complete_multipartite_graph,
@@ -77,13 +83,15 @@ def test_fifty_random_relabelings_per_graph():
             assert canonical_form(relabel(g, perm)) == base
 
 
+PETERSEN = from_edges(
+    10,
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6), (6, 8),
+     (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
+)
+
+
 def test_highly_symmetric_graphs_terminate():
-    petersen = from_edges(
-        10,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6), (6, 8),
-         (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
-    )
-    for g in (complete_graph(12), cycle_graph(12), empty_graph(12), petersen):
+    for g in (complete_graph(12), cycle_graph(12), empty_graph(12), PETERSEN):
         perm = canonical_permutation(g)
         assert sorted(perm) == list(range(g.n))
 
@@ -91,3 +99,33 @@ def test_highly_symmetric_graphs_terminate():
 def test_size_cap():
     with pytest.raises(ValueError):
         canonical_form(empty_graph(13))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(min_n=1, max_n=12))
+def test_form_is_graph6_of_the_canonical_relabeling(g):
+    # canonical_form packs the search's columns itself; it must spell the
+    # same bytes as writing the relabeled graph out with to_graph6.
+    assert canonical_form(g) == to_graph6(relabel(g, canonical_permutation(g))).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(min_n=1, max_n=12))
+def test_counting_refinement_matches_sorted_tuple_reference(g):
+    assert refinement_classes(g) == sorted_tuple_refinement(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [PETERSEN, cycle_graph(12), complete_graph(7), complete_multipartite_graph([1, 1, 4, 4])]
+    + [hanson_toft(CliqueVector((3, 3)), n) for n in range(6, 11)],
+    ids=["petersen", "c12", "k7", "multipartite-1144"] + [f"ht33-{n}" for n in range(6, 11)],
+)
+def test_generators_are_automorphisms(g):
+    rng = random.Random(g.n)
+    for h in (g, relabel(g, rng.sample(range(g.n), g.n))):
+        generators = automorphism_generators(h)
+        assert generators  # every graph here has a non-trivial automorphism
+        for sigma in generators:
+            assert sorted(sigma) == list(range(h.n))
+            assert relabel(h, sigma) == h

@@ -187,6 +187,17 @@ class TestCocriticalCommand:
         assert k6["chi"] == 6 and k6["stats"] == {"nodes": 0}
         assert list(k6) == list(c5)
 
+    def test_target_order_does_not_matter_for_lemmas(self):
+        lemmas = []
+        for spec in ("3,4", "4,3"):
+            code, out = invoke([
+                "cocritical", "--spec", spec, "--construct", "hanson-toft:3,4:9", "--lemmas",
+            ])
+            assert code == EXIT_OK
+            (rec,) = records(out)
+            assert rec["verdict"] is True
+            lemmas.append(rec["lemmas"])
+        assert lemmas[0] == lemmas[1] != []
 
     def test_one_color_spec_has_no_lemma_findings(self):
         # C5 is co-critical for (3); the structural checks need two colors.
@@ -272,6 +283,13 @@ class TestScanCommand:
             )
             outputs.add(out)
         assert len(outputs) == 1
+
+    def test_target_order_does_not_matter(self):
+        stream = "".join(to_graph6(g) + "\n" for g in (complete_graph(9), cycle_graph(5)))
+        code, out = invoke(["scan", "--spec", "4,3"], stdin_text=stream)
+        assert code == EXIT_OK
+        (summary,) = records(out)
+        assert (summary["delta_bound"], summary["delta_ok"]) == (7, True)
 
     def test_node_limit_marks_indeterminate_and_exits_3(self):
         code, out = invoke([

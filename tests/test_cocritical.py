@@ -300,6 +300,13 @@ class TestLemmaSuite:
             clauses = {f.clause for f in findings}
             assert {"1.2", "thm1.6-degree", "1.5a", "1.5b"} <= clauses
 
+    def test_target_order_does_not_matter(self):
+        g = hanson_toft(S34, 9)
+        descending = CliqueVector((4, 3))
+        assert descending.sorted() == S34
+        assert lemma_suite(g, descending) == lemma_suite(g, S34) != []
+        assert mindeg_assert(g, descending).context["bound"] == 7
+
     def test_suite_empty_for_unqualified_spec(self):
         g = from_edges(3, [(0, 1)])
         assert lemma_suite(g, CliqueVector((2, 3))) == []

@@ -74,6 +74,7 @@ class TestMindegBound:
         assert sharp_mindeg_bound(S33) == 4
         assert sharp_mindeg_bound(S34) == 7  # strictly above the formula value
         assert sharp_mindeg_bound(CliqueVector((4, 4))) == 7
+        assert sharp_mindeg_bound(CliqueVector((4, 3))) == 7  # targets sorted first
 
     def test_rejects_unsorted_or_small(self):
         with pytest.raises(ValueError):
