@@ -11,7 +11,6 @@ verified critical coloring as witness.
 from __future__ import annotations
 
 import time
-from itertools import islice
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +18,6 @@ from .graph6 import parse_graph6, to_graph6
 from .graphs import Graph, bits, mask_has_clique, twin_pairs
 
 MAX_COLORS = 4
-ENUMERATION_EDGE_LIMIT = 40
 
 
 class NodeLimitExceeded(Exception):
@@ -51,11 +49,6 @@ class CliqueVector:
     def sorted(self) -> "CliqueVector":
         """The targets in ascending order; arrowing ignores their order."""
         return CliqueVector(tuple(sorted(self.sizes)))
-
-    def drop_first(self) -> "CliqueVector":
-        if self.k < 2:
-            raise ValueError("cannot drop the only color")
-        return CliqueVector(self.sizes[1:])
 
     @classmethod
     def parse(cls, text: str) -> "CliqueVector":
@@ -153,7 +146,7 @@ _DOMAIN_COLORS = [
 
 
 class _Search:
-    """Backtracking state shared by the decision, optimum and enumeration searches.
+    """Backtracking state shared by the decision and optimum searches.
 
     Every uncolored edge keeps the mask of colors that complete no
     monochromatic target clique (forward checking, Haralick & Elliott 1980).
@@ -406,26 +399,6 @@ class _Search:
         explore(0)
         return best_word
 
-    def critical_words(self):
-        """Yield every critical color word in lexicographic order.
-
-        Colors the edges in their static order and prunes only on wipe-out,
-        so without color_seed or twins the output is the lexicographic list
-        of all critical words.
-        """
-        dom = self.dom
-
-        def gen(i: int):
-            if i == self.m:
-                yield tuple(self.colors)
-                return
-            for ell in _DOMAIN_COLORS[dom[i]]:
-                if not self.assign(i, ell):
-                    yield from gen(i + 1)
-                self.unassign(i)
-
-        yield from gen(0)
-
 
 def arrows(
     g: Graph,
@@ -487,20 +460,6 @@ def extremal_critical_coloring(
     if not is_critical(g, coloring, spec):
         raise AssertionError("search produced an invalid extremal coloring")
     return coloring
-
-
-def enumerate_critical_colorings(g: Graph, spec: CliqueVector, limit: int | None = None):
-    """Yield distinct critical colorings in lexicographic color-word order.
-
-    Without an explicit limit the host must have at most 40 edges.  The
-    caller can detect possible truncation by receiving exactly limit items.
-    """
-    if limit is None and g.edge_count > ENUMERATION_EDGE_LIMIT:
-        raise ValueError(
-            f"more than {ENUMERATION_EDGE_LIMIT} edges requires an explicit limit"
-        )
-    for word in islice(_Search(g, spec).critical_words(), limit):
-        yield EdgeColoring(g, word, spec.k)
 
 
 def serialize_coloring(coloring: EdgeColoring) -> str:

@@ -19,6 +19,7 @@ from .arrowing import (
     EdgeColoring,
     arrows,
     extremal_critical_coloring,
+    is_critical,
 )
 from .constructions import (
     NONSTANDARD_SPEC,
@@ -39,9 +40,6 @@ from .graphs import (
     CHROMATIC_MAX_VERTICES,
     _max_clique,
 )
-
-MAXIMIZE_LAST = "maximize-last"
-MINIMIZE_FIRST = "minimize-first"
 
 
 @dataclass(frozen=True)
@@ -244,30 +242,26 @@ def _is_color_complete(adj_ell, from_mask: int, to_mask: int) -> bool:
 def check_lemma_1_5(
     g: Graph,
     spec: CliqueVector,
-    coloring_policy: str = MAXIMIZE_LAST,
     *,
     coloring: EdgeColoring | None = None,
 ) -> list[LemmaFinding]:
-    """Structural checks on an extremal critical coloring of a co-critical graph.
+    """Structural checks on the extremal critical coloring of a co-critical graph.
 
-    Policy "maximize-last" selects the coloring with the largest last color
-    class and enables the clique-packing clauses; "minimize-first" selects
-    the smallest first class and (for k >= 3) the reduction check
-    that dropping the first color class leaves a co-critical graph.  Clauses
-    quantify over vertices x of degree at most n-2.  The clique vector must
-    be standard (CliqueVector.is_standard).
+    The lemma is stated for a critical coloring with the largest last color
+    class, which is computed when coloring is None; a caller that passes a
+    coloring must pass such an extremal one.  A coloring that is not
+    critical for g raises ValueError.  Clauses quantify over vertices x of
+    degree at most n-2.  The clique vector must be standard
+    (CliqueVector.is_standard).
     """
-    if coloring_policy not in (MAXIMIZE_LAST, MINIMIZE_FIRST):
-        raise ValueError(f"unknown coloring policy {coloring_policy!r}")
     if not spec.is_standard():
         raise ValueError(NONSTANDARD_SPEC)
     if coloring is None:
-        if coloring_policy == MAXIMIZE_LAST:
-            coloring = extremal_critical_coloring(g, spec, spec.k, "max")
-        else:
-            coloring = extremal_critical_coloring(g, spec, 1, "min")
+        coloring = extremal_critical_coloring(g, spec, spec.k, "max")
         if coloring is None:
             raise ValueError("graph admits no critical coloring; not co-critical")
+    elif not is_critical(g, coloring, spec):
+        raise ValueError("coloring is not critical for this graph")
 
     n = g.n
     k = spec.k
@@ -313,81 +307,61 @@ def check_lemma_1_5(
                     LemmaFinding("1.5b", holds_b, context=dict(ctx, omega=omega))
                 )
 
-        if coloring_policy == MAXIMIZE_LAST:
-            a_k = neighborhoods[k]
-            t_k = spec.sizes[k - 1]
-            for ell in range(1, k):
-                t_ell = spec.sizes[ell - 1]
-                ctx = {"x": x, "ell": ell}
-                if _is_color_complete(class_adj[k], neighborhoods[ell], a_k):
-                    packs_ell = max_disjoint_cliques(class_adj[ell], a_k, t_ell - 1)
-                    packs_k = max_disjoint_cliques(class_adj[k], a_k, t_k - 2)
-                    holds = (
-                        packs_ell >= t_k - 2
-                        and packs_k >= t_ell - 1
-                        and a_k.bit_count() >= (t_ell - 1) * (t_k - 2)
+        a_k = neighborhoods[k]
+        t_k = spec.sizes[k - 1]
+        for ell in range(1, k):
+            t_ell = spec.sizes[ell - 1]
+            ctx = {"x": x, "ell": ell}
+            if _is_color_complete(class_adj[k], neighborhoods[ell], a_k):
+                packs_ell = max_disjoint_cliques(class_adj[ell], a_k, t_ell - 1)
+                packs_k = max_disjoint_cliques(class_adj[k], a_k, t_k - 2)
+                holds = (
+                    packs_ell >= t_k - 2
+                    and packs_k >= t_ell - 1
+                    and a_k.bit_count() >= (t_ell - 1) * (t_k - 2)
+                )
+                findings.append(
+                    LemmaFinding(
+                        "1.5c1",
+                        holds,
+                        context=dict(
+                            ctx,
+                            disjoint_in_ell=packs_ell,
+                            disjoint_in_last=packs_k,
+                            last_neighborhood=a_k.bit_count(),
+                        ),
                     )
-                    findings.append(
-                        LemmaFinding(
-                            "1.5c1",
-                            holds,
-                            context=dict(
-                                ctx,
-                                disjoint_in_ell=packs_ell,
-                                disjoint_in_last=packs_k,
-                                last_neighborhood=a_k.bit_count(),
-                            ),
-                        )
-                    )
+                )
 
-            if k == 2:
-                t1, t2 = spec.sizes
-                a1 = neighborhoods[1]
-                ctx = {"x": x, "ell": 1}
-                if a1.bit_count() == t1 - 2:
-                    blue_complete = _is_color_complete(class_adj[2], a1, a_k)
-                    big_enough = a_k.bit_count() >= (t1 - 1) * (t2 - 2) + 1
-                    findings.append(
-                        LemmaFinding(
-                            "1.5c2",
-                            blue_complete and big_enough,
-                            context=dict(
-                                ctx,
-                                blue_complete=blue_complete,
-                                last_neighborhood=a_k.bit_count(),
-                            ),
-                        )
+        if k == 2:
+            t1, t2 = spec.sizes
+            a1 = neighborhoods[1]
+            ctx = {"x": x, "ell": 1}
+            if a1.bit_count() == t1 - 2:
+                blue_complete = _is_color_complete(class_adj[2], a1, a_k)
+                big_enough = a_k.bit_count() >= (t1 - 1) * (t2 - 2) + 1
+                findings.append(
+                    LemmaFinding(
+                        "1.5c2",
+                        blue_complete and big_enough,
+                        context=dict(
+                            ctx,
+                            blue_complete=blue_complete,
+                            last_neighborhood=a_k.bit_count(),
+                        ),
                     )
-                else:
-                    findings.append(
-                        LemmaFinding(
-                            "1.5c2",
-                            True,
-                            vacuous=True,
-                            context=dict(ctx, first_neighborhood=a1.bit_count()),
-                        )
+                )
+            else:
+                findings.append(
+                    LemmaFinding(
+                        "1.5c2",
+                        True,
+                        vacuous=True,
+                        context=dict(ctx, first_neighborhood=a1.bit_count()),
                     )
-
-    if coloring_policy == MINIMIZE_FIRST and k >= 3:
-        findings.append(check_lemma_1_5d(g, spec, coloring))
+                )
 
     return findings
-
-
-def check_lemma_1_5d(
-    g: Graph, spec: CliqueVector, coloring: EdgeColoring
-) -> LemmaFinding:
-    """Dropping a minimum first color class must leave a co-critical graph."""
-    if spec.k < 3:
-        raise ValueError("the reduction check needs at least three colors")
-    first = coloring.class_adj(1)
-    reduced = Graph(g.n, tuple(a & ~f for a, f in zip(g.adj, first)))
-    sub_report = is_cocritical(reduced, spec.drop_first())
-    return LemmaFinding(
-        "1.5d",
-        sub_report.is_cocritical is True,
-        context={"reduced_edges": reduced.edge_count},
-    )
 
 
 def mindeg_assert(g: Graph, spec: CliqueVector) -> LemmaFinding:
@@ -415,5 +389,5 @@ def lemma_suite(g: Graph, spec: CliqueVector) -> list[LemmaFinding]:
     if r is not None:
         findings.append(check_lemma_1_2(g, spec, r))
     findings.append(mindeg_assert(g, spec))
-    findings.extend(check_lemma_1_5(g, spec, MAXIMIZE_LAST))
+    findings.extend(check_lemma_1_5(g, spec))
     return findings

@@ -18,7 +18,6 @@ from rck.arrowing import (
     CliqueVector,
     EdgeColoring,
     arrows,
-    enumerate_critical_colorings,
     extremal_critical_coloring,
     is_critical,
     parse_coloring,
@@ -71,7 +70,6 @@ class TestCliqueVector:
         assert not CliqueVector((4, 3)).is_standard()
         assert not CliqueVector((2, 3)).is_standard()
         assert not CliqueVector((3,)).is_standard()
-        assert CliqueVector((3, 4, 4)).drop_first().sizes == (4, 4)
 
 
 class TestIsCritical:
@@ -373,7 +371,7 @@ class TestSearchCore:
             (True, True, lambda s: s.decide()),
             (False, True, lambda s: s.optimum(1, True)),
             (False, True, lambda s: s.optimum(spec.k, False)),
-            (False, False, lambda s: list(s.critical_words())),
+            (False, False, lambda s: s.decide()),
         ]
         for color_seed, twins, run in runs:
             s = _Search(g, spec, color_seed=color_seed, twins=twins)
@@ -475,37 +473,6 @@ class TestExtremal:
             extremal_critical_coloring(complete_graph(3), S33, 3, "max")
         with pytest.raises(ValueError):
             extremal_critical_coloring(complete_graph(3), S33, 1, "most")
-
-
-class TestEnumerate:
-    def test_k3_has_six_critical_colorings(self):
-        words = [c.colors for c in enumerate_critical_colorings(complete_graph(3), S33)]
-        assert len(words) == 6
-        assert words == sorted(words)  # lexicographic order
-        assert (1, 1, 1) not in words and (2, 2, 2) not in words
-
-    def test_k4_count_matches_oracle(self):
-        got = [c.colors for c in enumerate_critical_colorings(complete_graph(4), S33)]
-        want = all_critical_words(complete_graph(4), S33)
-        assert got == want
-
-    def test_k6_stream_is_empty(self):
-        assert list(enumerate_critical_colorings(complete_graph(6), S33)) == []
-
-    def test_non_complete_host_matches_oracle(self):
-        c5 = cycle_graph(5)
-        got = [c.colors for c in enumerate_critical_colorings(c5, S33)]
-        assert got == all_critical_words(c5, S33)
-        assert len(got) == 2 ** 5  # no triangles at all, every word is critical
-
-    def test_limit_truncates(self):
-        got = list(enumerate_critical_colorings(complete_graph(4), S33, limit=5))
-        assert len(got) == 5
-
-    def test_edge_cap_requires_limit(self):
-        big = join(complete_graph(7), complete_graph(7))
-        with pytest.raises(ValueError):
-            next(enumerate_critical_colorings(big, S33))
 
 
 class TestWitnessSerialization:

@@ -3,13 +3,12 @@ import pytest
 from oracles import brute_is_cocritical
 from rck.arrowing import (
     CliqueVector,
+    EdgeColoring,
     arrows,
     extremal_critical_coloring,
     is_critical,
 )
 from rck.cocritical import (
-    MAXIMIZE_LAST,
-    MINIMIZE_FIRST,
     check_lemma_1_2,
     check_lemma_1_5,
     graph_facts,
@@ -197,13 +196,13 @@ class TestLemma15:
             (hanson_toft(S33, 7), S33),
             (hanson_toft(S34, 9), S34),
         ):
-            findings = check_lemma_1_5(g, spec, MAXIMIZE_LAST)
+            findings = check_lemma_1_5(g, spec)
             assert findings
             assert all(f.holds for f in findings)
 
     def test_clause_b_on_k6_minus(self):
         findings = [
-            f for f in check_lemma_1_5(k6_minus(), S33, MAXIMIZE_LAST)
+            f for f in check_lemma_1_5(k6_minus(), S33)
             if f.clause == "1.5b"
         ]
         # Both low-degree vertices, both colors; all hold.
@@ -211,7 +210,7 @@ class TestLemma15:
         assert all(f.holds for f in findings)
 
     def test_c2_vacuous_cases_are_marked(self):
-        findings = check_lemma_1_5(hanson_toft(S34, 9), S34, MAXIMIZE_LAST)
+        findings = check_lemma_1_5(hanson_toft(S34, 9), S34)
         c2 = [f for f in findings if f.clause == "1.5c2"]
         assert c2
         for f in c2:
@@ -221,39 +220,39 @@ class TestLemma15:
 
     def test_policy_and_spec_validation(self):
         with pytest.raises(ValueError):
-            check_lemma_1_5(k6_minus(), S33, "balance")
+            check_lemma_1_5(k6_minus(), CliqueVector((4, 3)))
         with pytest.raises(ValueError):
-            check_lemma_1_5(k6_minus(), CliqueVector((4, 3)), MAXIMIZE_LAST)
-        with pytest.raises(ValueError):
-            check_lemma_1_5(k6_minus(), CliqueVector((2, 3)), MAXIMIZE_LAST)
+            check_lemma_1_5(k6_minus(), CliqueVector((2, 3)))
 
     def test_non_cocritical_graph_rejected(self):
         with pytest.raises(ValueError):
-            check_lemma_1_5(complete_graph(6), S33, MAXIMIZE_LAST)
-
-    def test_minimize_first_policy_runs_a_and_b(self):
-        findings = check_lemma_1_5(k6_minus(), S33, MINIMIZE_FIRST)
-        clauses = {f.clause for f in findings}
-        assert clauses == {"1.5a", "1.5b"}
-        assert all(f.holds for f in findings)
+            check_lemma_1_5(complete_graph(6), S33)
 
     def test_explicit_coloring_is_respected(self):
         coloring = extremal_critical_coloring(k6_minus(), S33, 2, "max")
-        findings = check_lemma_1_5(k6_minus(), S33, MAXIMIZE_LAST, coloring=coloring)
+        findings = check_lemma_1_5(k6_minus(), S33, coloring=coloring)
         assert all(f.holds for f in findings)
 
-    def test_lemma_d_reduction_mechanics(self):
-        # The 6-vertex construction admits (3,3,3)-critical colorings with an
-        # empty first class, so the reduction re-checks the graph itself for
-        # (3,3), where it is co-critical.  This exercises the three-color
-        # reduction path; a genuine (3,3,3)-co-critical instance would need
-        # at least 17 vertices.
-        g = hanson_toft(S33, 6)
-        findings = check_lemma_1_5(g, CliqueVector((3, 3, 3)), MINIMIZE_FIRST)
-        d_findings = [f for f in findings if f.clause == "1.5d"]
-        assert len(d_findings) == 1
-        assert d_findings[0].holds
-        assert d_findings[0].context["reduced_edges"] == g.edge_count
+    def test_explicit_coloring_must_be_critical_for_the_graph(self):
+        # An all-red K6-e holds red triangles; a critical coloring of C6
+        # colors another graph.  Neither may be reported as a violation.
+        g = k6_minus()
+        all_red = EdgeColoring(g, (1,) * g.edge_count, 2)
+        other_host = arrows(cycle_graph(6), S33).witness
+        for coloring in (all_red, other_host):
+            with pytest.raises(ValueError):
+                check_lemma_1_5(g, S33, coloring=coloring)
+
+    def test_three_colors_run_a_b_and_c1(self):
+        # K6-e is not (3,3,3)-co-critical, so only the mechanics are
+        # checked: both low-degree vertices get clauses a and b for each of
+        # the three colors, c1 runs, and c2 is stated for two colors only.
+        findings = check_lemma_1_5(k6_minus(), CliqueVector((3, 3, 3)))
+        assert {f.clause for f in findings} == {"1.5a", "1.5b", "1.5c1"}
+        a_findings = [
+            (f.context["x"], f.context["ell"]) for f in findings if f.clause == "1.5a"
+        ]
+        assert a_findings == [(x, ell) for x in (0, 1) for ell in (1, 2, 3)]
 
 
 class TestMaxDisjointCliques:
