@@ -10,7 +10,6 @@ verified critical coloring as witness.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,7 +103,6 @@ class EdgeColoring:
 class SearchStats:
     nodes: int
     max_depth: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -415,7 +413,6 @@ def arrows(
     lex-leader constraints, which change the witness and the node count but
     never the verdict.  workers is accepted for compatibility and unused.
     """
-    t0 = time.perf_counter()
     s = _Search(g, spec, node_limit, color_seed=True, twins=True)
     verdict = None
     try:
@@ -423,7 +420,7 @@ def arrows(
         verdict = word is None
     except NodeLimitExceeded:
         pass
-    stats = SearchStats(s.nodes, s.max_depth, time.perf_counter() - t0)
+    stats = SearchStats(s.nodes, s.max_depth)
     if verdict is not False:
         return ArrowVerdict(verdict, None, stats)
     witness = EdgeColoring(g, word, spec.k)

@@ -11,6 +11,7 @@ automorphism; `automorphism_generators` reports those and the twin swaps.
 
 from __future__ import annotations
 
+from .graph6 import pack_graph6
 from .graphs import Graph, twin_pairs
 
 CANONICAL_MAX_VERTICES = 12
@@ -146,7 +147,4 @@ def canonical_form(g: Graph) -> bytes:
     word = 0
     for j, col in enumerate(_search(g)[0]):
         word = word << (j + 1) | col
-    nbits = g.n * (g.n - 1) // 2
-    groups = (nbits + 5) // 6
-    word <<= 6 * groups - nbits
-    return bytes([63 + g.n] + [63 + (word >> 6 * i & 63) for i in range(groups - 1, -1, -1)])
+    return pack_graph6(g.n, word).encode("ascii")

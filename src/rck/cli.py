@@ -1,11 +1,9 @@
 """Batch command line front end.
 
-Subcommands: arrow, cocritical, saturated (one JSON or text record per input
-graph) and scan (one summary record for a whole graph6 stream).  Inputs come
-from a named construction, a graph6 file, or stdin.  Records are emitted in
-input order and are byte-identical across runs and worker counts; timing
-information appears only with arrow --timing.  A text record is one line:
-its witness is the graph6 and the color word separated by one space.
+Subcommands: arrow, cocritical, saturated (one JSON record per input graph)
+and scan (one summary record for a whole graph6 stream).  Inputs come from a
+named construction, a graph6 file, or stdin.  Records are emitted in input
+order and are byte-identical across runs and worker counts.
 
 Exit codes: 0 all assertions hold, 1 a theorem assertion failed, 2 input
 error, 3 node budget exceeded (indeterminate).
@@ -14,16 +12,13 @@ error, 3 node budget exceeded (indeterminate).
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
 import sys
 from dataclasses import asdict
 from functools import partial
-from pathlib import Path
 
 from .arrowing import CliqueVector, arrows, serialize_coloring
-from .canonical import canonical_form
+from .canonical import CANONICAL_MAX_VERTICES, canonical_form
 from .cocritical import graph_facts, is_cocritical, is_minimal_cocritical, lemma_suite
 from .constructions import construction_by_name, sharp_mindeg_bound
 from .graph6 import parse_graph6, to_graph6
@@ -35,21 +30,9 @@ EXIT_ASSERTION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INDETERMINATE = 3
 
-WORKERS_ENV = "RCK_WORKERS"
-
 
 class InputError(Exception):
     pass
-
-
-def default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"bad {WORKERS_ENV} value {env!r}")
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,26 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "cocritical":
             p.add_argument("--lemmas", action="store_true", help="append findings")
             p.add_argument("--minimal", action="store_true", help="append minimality")
-        p.add_argument("--workers", type=int, default=None)
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="json_out", action="store_true", default=True)
-        fmt.add_argument("--text", dest="json_out", action="store_false")
-        p.add_argument(
-            "--report",
-            dest="report_path",
-            metavar="REPORT",
-            help="also write records to this file",
-        )
-        if name == "arrow":
-            p.add_argument("--timing", action="store_true")
-            p.add_argument("--witness-dir", help="write witness files here")
-        else:
-            p.set_defaults(witness_dir=None)
+        p.add_argument("--workers", type=int, default=1)
     return parser
 
 
 def parse_config(argv) -> argparse.Namespace:
-    """The parsed arguments, with spec as a CliqueVector and workers resolved."""
+    """The parsed arguments, with spec as a CliqueVector."""
     cfg = build_parser().parse_args(argv)
     if cfg.spec is not None:
         try:
@@ -105,8 +74,6 @@ def parse_config(argv) -> argparse.Namespace:
             raise InputError(str(exc))
     if cfg.construct is not None and cfg.in_path is not None:
         raise InputError("choose one input source: --construct or --in")
-    if cfg.workers is None:
-        cfg.workers = default_workers()
     if cfg.workers < 1:
         raise InputError("worker count must be at least 1")
     if cfg.node_limit is not None and cfg.node_limit < 0:
@@ -143,19 +110,6 @@ def _parse_line(text: str) -> Graph:
         return parse_graph6(text)
     except ValueError as exc:
         raise InputError(f"bad graph6 line {text!r}: {exc}")
-
-
-def _emit(out, record: dict, cfg: argparse.Namespace) -> None:
-    if cfg.json_out:
-        out.write(json.dumps(record) + "\n")
-    else:
-        # The witness drops the newlines of serialize_coloring's two lines.
-        parts = (
-            f"{key}={' '.join(value.split()) if key == 'witness' else value}"
-            for key, value in record.items()
-            if value or key not in ("witness", "lemmas", "stats")
-        )
-        out.write("  ".join(parts) + "\n")
 
 
 def _record_base(g: Graph, spec: CliqueVector, facts) -> dict:
@@ -226,8 +180,6 @@ def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
         "nodes": verdict.stats.nodes,
         "max_depth": verdict.stats.max_depth,
     }
-    if cfg.timing:
-        record["stats"]["wall_time"] = round(verdict.stats.wall_time, 6)
     if verdict.witness is not None:
         record["witness"] = serialize_coloring(verdict.witness)
     code = EXIT_INDETERMINATE if verdict.arrows is None else EXIT_OK
@@ -260,6 +212,13 @@ def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
 
 def _scan_graph(cfg: argparse.Namespace, line: str):
     g = _parse_line(line)
+    # A co-critical graph's record needs its canonical form, so check the
+    # size before the search rather than fail only on some verdicts.
+    if g.n > CANONICAL_MAX_VERTICES:
+        raise InputError(
+            f"scan supports at most {CANONICAL_MAX_VERTICES} vertices, "
+            f"got {g.n} in {line!r}"
+        )
     report = is_cocritical(g, cfg.spec, node_limit=cfg.node_limit)
     if report.is_cocritical is not True:
         return report.is_cocritical, None, report.nodes
@@ -310,7 +269,7 @@ def cmd_scan(cfg: argparse.Namespace, out) -> int:
         "cocritical_canonical": sorted({info["canonical"] for info in cocritical_info}),
         "stats": {"nodes": total_nodes},
     }
-    _emit(out, summary, cfg)
+    out.write(json.dumps(summary) + "\n")
     if lemma_fail or delta_ok is False:
         return EXIT_ASSERTION_FAILED
     if indeterminate:
@@ -351,13 +310,9 @@ def cmd_records(cfg: argparse.Namespace, out) -> int:
     """Emit one record per input graph; exit with the worst record's code."""
     exit_code = EXIT_OK
     records = _stream_records(cfg, RECORDS[cfg.subcommand])
-    for index, (record, code) in enumerate(records):
+    for record, code in records:
         exit_code = _worse_exit(exit_code, code)
-        if record.get("witness") and cfg.witness_dir:
-            path = Path(cfg.witness_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            (path / f"witness-{index}.txt").write_text(record["witness"])
-        _emit(out, record, cfg)
+        out.write(json.dumps(record) + "\n")
     return exit_code
 
 
@@ -365,14 +320,7 @@ def run(argv, out) -> int:
     try:
         cfg = parse_config(argv)
         handler = cmd_scan if cfg.subcommand == "scan" else cmd_records
-        # Output is written only once every record is ready, so an input
-        # error leaves an existing report as it was.
-        buffer = io.StringIO()
-        code = handler(cfg, buffer)
-        out.write(buffer.getvalue())
-        if cfg.report_path:
-            Path(cfg.report_path).write_text(buffer.getvalue())
-        return code
+        return handler(cfg, out)
     except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

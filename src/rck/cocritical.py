@@ -35,6 +35,7 @@ from .graphs import (
     chromatic_number,
     degree_stats,
     delete_vertex,
+    first_free_non_edge,
     is_complete_multipartite,
     mask_has_clique,
     CHROMATIC_MAX_VERTICES,
@@ -66,30 +67,6 @@ class LemmaFinding:
     holds: bool
     vacuous: bool = False
     context: dict | None = None
-
-
-def _first_witness_refuted(
-    witness: EdgeColoring, spec: CliqueVector, non_edges: list[Edge]
-) -> int:
-    """Index of the least non-edge whose extension the witness refutes.
-
-    Giving uv a color c keeps a critical coloring critical unless it closes
-    a monochromatic K_{t_c}, which must contain uv; its other t_c - 2
-    vertices form a clique in the common c-neighborhood of u and v.  So the
-    witness plus c on uv is a critical coloring of g + uv whenever that
-    neighborhood holds no K_{t_c - 2} (a K_2 target is never free).
-    Returns len(non_edges) when no non-edge has a free color.
-    """
-    classes = [
-        (witness.class_adj(ell), t - 2)
-        for ell, t in enumerate(spec.sizes, start=1)
-        if t >= 3
-    ]
-    for index, (u, v) in enumerate(non_edges):
-        for adj, need in classes:
-            if not mask_has_clique(adj, adj[u] & adj[v], need):
-                return index
-    return len(non_edges)
 
 
 def graph_facts(g: Graph, spec: CliqueVector) -> tuple[int, int | None, int | None]:
@@ -146,8 +123,15 @@ def is_cocritical(
     verdict_value = None if base.arrows is None else not base.arrows
     failing: Edge | None = None
     if base.arrows is False:
+        # Giving uv a color c keeps a critical coloring critical unless it
+        # closes a monochromatic K_{t_c}, whose other t_c - 2 vertices lie in
+        # the common c-neighborhood of u and v; a K_2 target is never free.
         non_edges = g.non_edges()
-        cut = _first_witness_refuted(base.witness, spec, non_edges)
+        classes = [
+            (base.witness.class_adj(ell), t - 2)
+            for ell, t in enumerate(spec.sizes, start=1)
+        ]
+        cut = first_free_non_edge(classes, non_edges)
         for e in non_edges[:cut]:
             budget = None if node_limit is None else node_limit - nodes
             verdict = arrows(add_edge(g, e), spec, node_limit=budget)

@@ -13,23 +13,23 @@ from .graphs import MAX_VERTICES, Graph
 HEADER = ">>graph6<<"
 
 
+def pack_graph6(n: int, word: int) -> str:
+    """The graph6 line of an n-vertex graph whose upper-triangle bits, in
+    column order with the first bit highest, form word."""
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    word <<= 6 * groups - nbits
+    body = [chr(63 + (word >> 6 * i & 63)) for i in range(groups - 1, -1, -1)]
+    return chr(63 + n) + "".join(body)
+
+
 def to_graph6(g: Graph) -> str:
-    n = g.n
-    out = [chr(63 + n)]
+    adj = g.adj
     word = 0
-    nbits = 0
-    for v in range(1, n):
+    for v in range(1, g.n):
         for u in range(v):
-            word = (word << 1) | (g.adj[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + word))
-                word = 0
-                nbits = 0
-    if nbits:
-        word <<= 6 - nbits
-        out.append(chr(63 + word))
-    return "".join(out)
+            word = word << 1 | (adj[u] >> v & 1)
+    return pack_graph6(g.n, word)
 
 
 def parse_graph6(line: str) -> Graph:

@@ -240,6 +240,21 @@ def mask_has_clique(adj, cand: int, need: int) -> bool:
     return False
 
 
+def first_free_non_edge(classes, non_edges: list[Edge]) -> int:
+    """Index of the first non-edge uv that some (adj, need) pair of classes
+    leaves free: the common neighborhood adj[u] & adj[v] holds no K_need.
+
+    Adding uv to a K_t-free graph closes a K_t exactly when that
+    neighborhood holds a K_{t-2}.  Returns len(non_edges) when no non-edge
+    is free.
+    """
+    for index, (u, v) in enumerate(non_edges):
+        for adj, need in classes:
+            if not mask_has_clique(adj, adj[u] & adj[v], need):
+                return index
+    return len(non_edges)
+
+
 def has_clique(g: Graph, t: int, within: VertexSet | None = None) -> bool:
     """True iff the subgraph induced by within (default: all of g) contains K_t."""
     if t < 1:

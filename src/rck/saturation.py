@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, degree_stats, has_clique, mask_has_clique
+from .graphs import Edge, Graph, degree_stats, first_free_non_edge, has_clique
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,8 @@ def is_saturated(g: Graph, t: int) -> SaturationReport:
         )
     if not free:
         return SaturationReport(t, False, False, None, True)
-    # g is K_t-free, so a K_t in g + uv contains uv, and its other t - 2
-    # vertices form a clique in the common neighbourhood of u and v.
-    violating = None
-    for u, v in non_edges:
-        if not mask_has_clique(g.adj, g.adj[u] & g.adj[v], t - 2):
-            violating = (u, v)
-            break
+    index = first_free_non_edge([(g.adj, t - 2)], non_edges)
+    violating = non_edges[index] if index < len(non_edges) else None
     saturated = violating is None
     return SaturationReport(t, True, saturated, violating, _hajnal(g, t, saturated))
 

@@ -38,38 +38,28 @@ class TestArrowCommand:
             "witness", "lemmas", "stats",
         ]
 
-    def test_k8_emits_witness_file(self, tmp_path):
-        wdir = tmp_path / "w"
-        code, out = invoke([
-            "arrow", "--spec", "3,4", "--construct", "kn:8",
-            "--witness-dir", str(wdir),
-        ])
+    def test_k8_emits_witness_file(self):
+        from rck.arrowing import parse_coloring
+
+        code, out = invoke(["arrow", "--spec", "3,4", "--construct", "kn:8"])
         assert code == EXIT_OK
         (rec,) = records(out)
         assert rec["verdict"] is False
-        stored = (wdir / "witness-0.txt").read_text()
-        assert stored == rec["witness"]
+        coloring = parse_coloring(rec["witness"], k=2)
+        assert to_graph6(coloring.host) == rec["g6"] == to_graph6(complete_graph(8))
 
-    def test_stream_witness_files_numbered_by_input_order(self, tmp_path):
-        from rck.arrowing import CliqueVector, parse_coloring
-        from rck.graphs import cycle_graph
+    def test_stream_witness_files_numbered_by_input_order(self):
+        from rck.arrowing import parse_coloring
 
-        wdir = tmp_path / "w"
-        stream = "".join(
-            to_graph6(g) + "\n" for g in (cycle_graph(4), complete_graph(3))
-        )
-        code, out = invoke(
-            ["arrow", "--spec", "3,3", "--witness-dir", str(wdir)],
-            stdin_text=stream,
-        )
+        graphs = (cycle_graph(4), complete_graph(3))
+        stream = "".join(to_graph6(g) + "\n" for g in graphs)
+        code, out = invoke(["arrow", "--spec", "3,3"], stdin_text=stream)
         assert code == EXIT_OK
         recs = records(out)
         assert [r["verdict"] for r in recs] == [False, False]
-        for i, rec in enumerate(recs):
-            text = (wdir / f"witness-{i}.txt").read_text()
-            coloring = parse_coloring(text, k=2)
-            assert rec["witness"] == text
-            assert to_graph6(coloring.host) == rec["g6"]
+        for g, rec in zip(graphs, recs):
+            coloring = parse_coloring(rec["witness"], k=2)
+            assert to_graph6(coloring.host) == rec["g6"] == to_graph6(g)
 
     def test_empty_input_zero_records(self):
         code, out = invoke(["arrow", "--spec", "3,3"], stdin_text="")
@@ -92,24 +82,6 @@ class TestArrowCommand:
         (rec,) = records(out)
         assert rec["verdict"] is None
 
-    def test_text_mode(self):
-        code, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:6", "--text"])
-        assert code == EXIT_OK
-        assert "verdict=True" in out
-
-    @pytest.mark.parametrize("argv", [
-        ["arrow", "--spec", "3,3", "--construct", "kn:5"],
-        ["cocritical", "--spec", "3,3", "--construct", "k6minus"],
-    ], ids=["arrow", "cocritical"])
-    def test_text_record_is_one_line(self, argv):
-        # The witness is the graph6 and the color word, one space apart.
-        _, json_out = invoke(argv)
-        g6, word = records(json_out)[0]["witness"].split("\n", 1)
-        code, out = invoke([*argv, "--text"])
-        assert code == EXIT_OK
-        assert out.count("\n") == 1
-        assert f"  witness={g6} {word.strip()}  " in out
-
     def test_stream_skips_blank_lines(self):
         stream = "Bw\n\n  \n@\n"
         code, out = invoke(["arrow", "--spec", "3,3"], stdin_text=stream)
@@ -131,29 +103,6 @@ class TestArrowCommand:
         for n, bound in ((1, None), (5, None), (6, 14)):
             _, out = invoke(["arrow", "--spec", "3,3", "--construct", f"kn:{n}"])
             assert records(out)[0]["ht_bound"] == bound
-
-    def test_timing_adds_wall_time(self):
-        _, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:3", "--timing"])
-        assert "wall_time" in records(out)[0]["stats"]
-
-    def test_report_file_mirrors_stdout(self, tmp_path):
-        target = tmp_path / "records.json"
-        code, out = invoke([
-            "arrow", "--spec", "3,3", "--construct", "kn:3",
-            "--report", str(target),
-        ])
-        assert code == EXIT_OK
-        assert target.read_text() == out
-
-    def test_input_error_leaves_the_report_untouched(self, tmp_path):
-        target = tmp_path / "records.json"
-        target.write_text("earlier records\n")
-        stream = f"{to_graph6(cycle_graph(5))}\nnot-a-graph\n"
-        code, out = invoke(
-            ["arrow", "--spec", "3,3", "--report", str(target)], stdin_text=stream
-        )
-        assert (code, out) == (EXIT_INPUT_ERROR, "")
-        assert target.read_text() == "earlier records\n"
 
 
 class TestCocriticalCommand:
@@ -291,6 +240,20 @@ class TestScanCommand:
         (summary,) = records(out)
         assert (summary["delta_bound"], summary["delta_ok"]) == (7, True)
 
+    @pytest.mark.parametrize("construct", ["hanson-toft:3,4:13", "kn:13"])
+    def test_graph_past_the_canonical_limit_rejected_before_search(
+        self, construct, monkeypatch, capsys
+    ):
+        # The check does not wait for a co-critical verdict to need the
+        # canonical form, so the exit cannot depend on what the search finds.
+        def no_search(*args, **kwargs):
+            raise AssertionError("is_cocritical called")
+
+        monkeypatch.setattr("rck.cli.is_cocritical", no_search)
+        code, out = invoke(["scan", "--spec", "3,4", "--construct", construct])
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert "scan supports at most 12 vertices, got 13" in capsys.readouterr().err
+
     def test_node_limit_marks_indeterminate_and_exits_3(self):
         code, out = invoke([
             "scan", "--spec", "3,3", "--construct", "k6minus",
@@ -344,6 +307,19 @@ class TestWorkerDispatch:
         assert runs[0] == runs[1]
 
 
+SATURATED = ["saturated", "--t", "3", "--construct", "kn:3"]
+COMMANDS = [
+    ["arrow", "--spec", "3,3", "--construct", "kn:3"],
+    ["cocritical", "--spec", "3,3", "--construct", "k6minus"],
+    ["scan", "--spec", "3,3", "--construct", "k6minus"],
+    SATURATED,
+]
+# Output routes that no subcommand has: records are JSON on stdout only.
+REMOVED_OPTIONS = [
+    ["--timing"], ["--witness-dir", "D"], ["--report", "F"], ["--text"], ["--json"],
+]
+
+
 class TestConfig:
     def test_two_input_sources_rejected(self):
         code, _ = invoke([
@@ -351,25 +327,15 @@ class TestConfig:
         ])
         assert code == EXIT_INPUT_ERROR
 
-    def test_workers_env_override(self, monkeypatch, corpus):
-        monkeypatch.setenv("RCK_WORKERS", "2")
-        stream = "".join(to_graph6(g) + "\n" for g in corpus[4])
-        code, out = invoke(["scan", "--spec", "3,3"], stdin_text=stream)
-        assert code == EXIT_OK
-        assert records(out)[0]["graphs"] == 11
-
-    def test_bad_workers_env(self, monkeypatch):
+    def test_workers_env_is_ignored(self, monkeypatch):
         monkeypatch.setenv("RCK_WORKERS", "many")
-        code, _ = invoke(["arrow", "--spec", "3,3", "--construct", "kn:3"])
-        assert code == EXIT_INPUT_ERROR
+        code, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:3"])
+        assert code == EXIT_OK
+        assert records(out)[0]["verdict"] is False
 
-    @pytest.mark.parametrize(
-        "env, flag", [("0", []), (None, ["--workers", "0"])], ids=["env", "flag"]
-    )
-    def test_workers_below_one_rejected(self, monkeypatch, env, flag):
-        if env is not None:
-            monkeypatch.setenv("RCK_WORKERS", env)
-        code, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:3", *flag])
+    @pytest.mark.parametrize("workers", ["0", "-1"], ids=["flag", "flag-negative"])
+    def test_workers_below_one_rejected(self, workers):
+        code, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:3", "--workers", workers])
         assert (code, out) == (EXIT_INPUT_ERROR, "")
 
     def test_negative_node_limit_rejected(self, capsys):
@@ -388,11 +354,10 @@ class TestConfig:
         assert code == EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize("argv", [
-        ["cocritical", "--spec", "3,3", "--construct", "k6minus", "--timing"],
-        ["scan", "--spec", "3,3", "--construct", "k6minus", "--timing"],
-        ["saturated", "--t", "3", "--construct", "kn:3", "--timing"],
-        ["saturated", "--t", "3", "--construct", "kn:3", "--node-limit", "5"],
-    ], ids=["cocritical-timing", "scan-timing", "saturated-timing", "saturated-node-limit"])
+        pytest.param([*base, *option], id=f"{base[0]}-{option[0].lstrip('-')}")
+        for base in COMMANDS
+        for option in REMOVED_OPTIONS
+    ] + [pytest.param(SATURATED + ["--node-limit", "5"], id="saturated-node-limit")])
     def test_option_only_on_the_commands_that_read_it(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -21,6 +21,7 @@ from rck.graphs import (
     degree_stats,
     delete_vertex,
     empty_graph,
+    first_free_non_edge,
     from_edges,
     has_clique,
     induced_subgraph,
@@ -141,6 +142,16 @@ def test_has_clique_examples():
 @given(small_graphs(min_n=2, max_n=6), st.integers(min_value=1, max_value=6))
 def test_has_clique_matches_clique_number(g, t):
     assert has_clique(g, t) == (clique_number(g) >= t)
+
+
+def test_first_free_non_edge_examples():
+    c4 = cycle_graph(4)
+    non_edges = c4.non_edges()
+    assert non_edges == [(0, 2), (1, 3)]
+    # Each diagonal of C4 has two common neighbours, so no K_3 target is free.
+    assert first_free_non_edge([(c4.adj, 1)], non_edges) == 2
+    # One free pair is enough: an edgeless class frees the first diagonal.
+    assert first_free_non_edge([(c4.adj, 1), ((0,) * 4, 1)], non_edges) == 0
 
 
 @settings(max_examples=100)
