@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write all non-isomorphic graphs on n (or up to n) vertices as graph6 lines.
+"""Write all non-isomorphic graphs on n vertices as graph6 lines.
 
 The output of any standard small-graph generator works as scan input; this
 script exists so the experiments are reproducible without external tooling.
@@ -17,18 +17,14 @@ from rck.graph6 import to_graph6
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("n", type=int, help="vertex count (max 12)")
-    parser.add_argument("--cumulative", action="store_true",
-                        help="include all sizes from 1 up to n")
     parser.add_argument("--out", help="output file (default: stdout)")
     args = parser.parse_args()
 
-    levels = graphs_up_to(args.n)
-    sizes = range(1, args.n + 1) if args.cumulative else [args.n]
+    graphs = graphs_up_to(args.n)[args.n]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for n in sizes:
-            for g in levels[n]:
-                out.write(to_graph6(g) + "\n")
+        for g in graphs:
+            out.write(to_graph6(g) + "\n")
     finally:
         if args.out:
             out.close()

@@ -10,6 +10,8 @@ verified critical coloring as witness.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +22,39 @@ MAX_COLORS = 4
 
 
 class NodeLimitExceeded(Exception):
-    """Raised internally when a search exceeds its node budget."""
+    """Raised when the searches of a node_budget block pass its limit."""
+
+
+class _Budget:
+    """The nodes left to a node_budget block.  Its latest search is charged
+    when the next one starts, so tick() counts that search's nodes only."""
+
+    def __init__(self, limit: int):
+        self.left, self.last = limit, None
+
+    def start(self, search) -> int:
+        if self.last is not None:
+            self.left -= self.last.nodes
+        self.last = search
+        return self.left
+
+
+_budget: ContextVar[_Budget | None] = ContextVar("node_budget", default=None)
+
+
+@contextmanager
+def node_budget(limit: int | None):
+    """Charge every search started inside the block to one node count.
+
+    A search raises NodeLimitExceeded once the count passes limit, and each
+    later one at its first node; None means no limit.  The innermost block
+    governs, as with decimal.localcontext.
+    """
+    token = _budget.set(None if limit is None else _Budget(limit))
+    try:
+        yield
+    finally:
+        _budget.reset(token)
 
 
 @dataclass(frozen=True)
@@ -170,11 +204,11 @@ class _Search:
 
     __slots__ = (
         "n", "edges", "m", "k", "targets", "adjc", "colors", "uncolored",
-        "nodes", "max_depth", "node_limit", "dom", "eid", "hadj", "trail",
+        "nodes", "max_depth", "limit", "dom", "eid", "hadj", "trail",
         "marks", "lex",
     )
 
-    def __init__(self, g, spec, node_limit=None, *, color_seed=False, twins=False):
+    def __init__(self, g, spec, *, color_seed=False, twins=False):
         self.n = g.n
         self.edges = g.edges
         self.m = len(self.edges)
@@ -185,7 +219,8 @@ class _Search:
         self.uncolored = self.m
         self.nodes = 0
         self.max_depth = 0
-        self.node_limit = node_limit
+        budget = _budget.get()
+        self.limit = None if budget is None else budget.start(self)
         self.hadj = g.adj
         self.eid = [[-1] * self.n for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
@@ -332,7 +367,7 @@ class _Search:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
+        if self.limit is not None and self.nodes > self.limit:
             raise NodeLimitExceeded
         depth = self.m - self.uncolored
         if depth > self.max_depth:
@@ -398,31 +433,24 @@ class _Search:
         return best_word
 
 
-def arrows(
-    g: Graph,
-    spec: CliqueVector,
-    *,
-    workers: int = 1,
-    node_limit: int | None = None,
-) -> ArrowVerdict:
+def arrows(g: Graph, spec: CliqueVector, *, workers: int = 1) -> ArrowVerdict:
     """Decide whether every spec.k-edge coloring of g has a monochromatic target.
 
-    One search decides; past node_limit nodes the verdict is indeterminate.
-    The witness is the first critical coloring found and is re-verified
-    before returning.  The search keeps the color seed and the twin
-    lex-leader constraints, which change the witness and the node count but
-    never the verdict.  workers is accepted for compatibility and unused.
+    One search decides; when it runs out of the enclosing node_budget the
+    verdict is indeterminate (arrows None, no witness).  The witness is the
+    first critical coloring found and is re-verified before returning.  The
+    search keeps the color seed and the twin lex-leader constraints, which
+    change the witness and the node count but never the verdict.  workers
+    is accepted for compatibility and unused.
     """
-    s = _Search(g, spec, node_limit, color_seed=True, twins=True)
-    verdict = None
+    s = _Search(g, spec, color_seed=True, twins=True)
     try:
         word = s.decide()
-        verdict = word is None
     except NodeLimitExceeded:
-        pass
+        return ArrowVerdict(None, None, SearchStats(s.nodes, s.max_depth))
     stats = SearchStats(s.nodes, s.max_depth)
-    if verdict is not False:
-        return ArrowVerdict(verdict, None, stats)
+    if word is None:
+        return ArrowVerdict(True, None, stats)
     witness = EdgeColoring(g, word, spec.k)
     if not is_critical(g, witness, spec):
         raise AssertionError("search produced an invalid witness")
@@ -430,12 +458,7 @@ def arrows(
 
 
 def extremal_critical_coloring(
-    g: Graph,
-    spec: CliqueVector,
-    color: int,
-    mode: str = "max",
-    *,
-    node_limit: int | None = None,
+    g: Graph, spec: CliqueVector, color: int, mode: str = "max"
 ) -> EdgeColoring | None:
     """Critical coloring attaining the exact optimum of |E_color|, or None.
 
@@ -443,14 +466,15 @@ def extremal_critical_coloring(
     over all critical colorings.  The search keeps the twin lex-leader
     constraints, since vertex automorphisms preserve class sizes, but not
     the color seed: color swaps do not preserve the objective.  The coloring
-    is re-verified before returning.  Raises NodeLimitExceeded when a node
-    budget is given and runs out; an optimum is never guessed.
+    is re-verified before returning.  Raises NodeLimitExceeded when the
+    search runs out of the enclosing node_budget; an optimum is never
+    guessed.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
     if not 1 <= color <= spec.k:
         raise ValueError(f"objective color {color} outside 1..{spec.k}")
-    word = _Search(g, spec, node_limit, twins=True).optimum(color, mode == "max")
+    word = _Search(g, spec, twins=True).optimum(color, mode == "max")
     if word is None:
         return None
     coloring = EdgeColoring(g, word, spec.k)

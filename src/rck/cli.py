@@ -17,7 +17,9 @@ import sys
 from dataclasses import asdict
 from functools import partial
 
-from .arrowing import CliqueVector, arrows, serialize_coloring
+from .arrowing import (
+    CliqueVector, NodeLimitExceeded, arrows, node_budget, serialize_coloring,
+)
 from .canonical import CANONICAL_MAX_VERTICES, canonical_form
 from .cocritical import graph_facts, is_cocritical, is_minimal_cocritical, lemma_suite
 from .constructions import construction_by_name, sharp_mindeg_bound
@@ -51,10 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=brief)
         if name == "saturated":
             p.add_argument("--t", type=int, required=True, help="clique target")
-            p.set_defaults(spec=None, node_limit=None)
+            p.set_defaults(spec=None, budget=None)
         else:
             p.add_argument("--spec", required=True, help="clique sizes, e.g. 3,3")
-            p.add_argument("--node-limit", type=int, default=None)
+            p.add_argument("--node-limit", dest="budget", type=int, default=None)
         p.add_argument("--construct", help="named construction instead of a stream")
         p.add_argument("--in", dest="in_path", help="graph6 file (default: stdin)")
         if name == "cocritical":
@@ -76,7 +78,7 @@ def parse_config(argv) -> argparse.Namespace:
         raise InputError("choose one input source: --construct or --in")
     if cfg.workers < 1:
         raise InputError("worker count must be at least 1")
-    if cfg.node_limit is not None and cfg.node_limit < 0:
+    if cfg.budget is not None and cfg.budget < 0:
         raise InputError("node limit must be at least 0")
     return cfg
 
@@ -160,26 +162,31 @@ def ordered_map(fn, jobs: list, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _within_budget(fn, limit: int, line: str):
+    with node_budget(limit):
+        return fn(line)
+
+
 def _stream_records(cfg: argparse.Namespace, record) -> list:
     """record(cfg, line) per input line, in input order.
 
-    The workers form one ordered pool across the input graphs, so the
-    records do not depend on their number.  A record that raises (a bad
-    input line) stops the run before any record is emitted.
+    Each record runs in its own node_budget block of --node-limit nodes.  The
+    workers form one ordered pool across the input graphs, so the records do
+    not depend on their number.  A record that raises (a bad input line)
+    stops the run before any record is emitted.
     """
-    lines = list(load_inputs(cfg))
-    return list(ordered_map(partial(record, cfg), lines, cfg.workers))
+    fn = partial(record, cfg)
+    if cfg.budget is not None:
+        fn = partial(_within_budget, fn, cfg.budget)
+    return list(ordered_map(fn, list(load_inputs(cfg)), cfg.workers))
 
 
 def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
     g = _parse_line(line)
-    verdict = arrows(g, cfg.spec, node_limit=cfg.node_limit)
+    verdict = arrows(g, cfg.spec)
     record = _record_base(g, cfg.spec, graph_facts(g, cfg.spec))
     record["verdict"] = verdict.arrows
-    record["stats"] = {
-        "nodes": verdict.stats.nodes,
-        "max_depth": verdict.stats.max_depth,
-    }
+    record["stats"] = asdict(verdict.stats)
     if verdict.witness is not None:
         record["witness"] = serialize_coloring(verdict.witness)
     code = EXIT_INDETERMINATE if verdict.arrows is None else EXIT_OK
@@ -189,7 +196,7 @@ def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
 def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
     g = _parse_line(line)
     spec = cfg.spec
-    report = is_cocritical(g, spec, node_limit=cfg.node_limit)
+    report = is_cocritical(g, spec)
     record = _record_base(g, spec, (report.delta, report.chi, report.ht_bound))
     record["verdict"] = report.is_cocritical
     record["failing_edge"] = list(report.failing_edge) if report.failing_edge else None
@@ -200,13 +207,16 @@ def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
         record["witness"] = serialize_coloring(report.base_witness)
     code = EXIT_INDETERMINATE if report.is_cocritical is None else EXIT_OK
     if report.is_cocritical:
-        if cfg.minimal:
-            record["minimal"] = is_minimal_cocritical(g, spec, report=report)
-        if cfg.lemmas:
-            findings = lemma_suite(g, spec)
-            record["lemmas"] = [asdict(f) for f in findings]
-            if any(not f.holds for f in findings):
-                code = EXIT_ASSERTION_FAILED
+        try:
+            if cfg.minimal:
+                record["minimal"] = is_minimal_cocritical(g, spec, report=report)
+            if cfg.lemmas:
+                findings = lemma_suite(g, spec)
+                record["lemmas"] = [asdict(f) for f in findings]
+                if any(not f.holds for f in findings):
+                    code = EXIT_ASSERTION_FAILED
+        except NodeLimitExceeded:
+            code = EXIT_INDETERMINATE
     return record, code
 
 
@@ -219,10 +229,13 @@ def _scan_graph(cfg: argparse.Namespace, line: str):
             f"scan supports at most {CANONICAL_MAX_VERTICES} vertices, "
             f"got {g.n} in {line!r}"
         )
-    report = is_cocritical(g, cfg.spec, node_limit=cfg.node_limit)
+    report = is_cocritical(g, cfg.spec)
     if report.is_cocritical is not True:
         return report.is_cocritical, None, report.nodes
-    findings = lemma_suite(g, cfg.spec)
+    try:
+        findings = lemma_suite(g, cfg.spec)
+    except NodeLimitExceeded:
+        return None, None, report.nodes
     return (
         True,
         {
@@ -309,8 +322,7 @@ RECORDS = {
 def cmd_records(cfg: argparse.Namespace, out) -> int:
     """Emit one record per input graph; exit with the worst record's code."""
     exit_code = EXIT_OK
-    records = _stream_records(cfg, RECORDS[cfg.subcommand])
-    for record, code in records:
+    for record, code in _stream_records(cfg, RECORDS[cfg.subcommand]):
         exit_code = _worse_exit(exit_code, code)
         out.write(json.dumps(record) + "\n")
     return exit_code

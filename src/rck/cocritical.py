@@ -17,6 +17,7 @@ from itertools import combinations
 from .arrowing import (
     CliqueVector,
     EdgeColoring,
+    NodeLimitExceeded,
     arrows,
     extremal_critical_coloring,
     is_critical,
@@ -53,7 +54,6 @@ class CocriticalReport:
     base_witness: EdgeColoring | None
     delta: int
     chi: int | None
-    edge_count: int
     ht_bound: int | None
     meets_ht: bool | None
     nodes: int
@@ -84,13 +84,7 @@ def graph_facts(g: Graph, spec: CliqueVector) -> tuple[int, int | None, int | No
     return degree_stats(g)[0], chi, ht_bound
 
 
-def is_cocritical(
-    g: Graph,
-    spec: CliqueVector,
-    *,
-    workers: int = 1,
-    node_limit: int | None = None,
-) -> CocriticalReport:
+def is_cocritical(g: Graph, spec: CliqueVector, *, workers: int = 1) -> CocriticalReport:
     """Definitional co-criticality check.
 
     The base graph must be non-complete and admit a critical coloring, and
@@ -102,23 +96,22 @@ def is_cocritical(
     base witness refutes with one more colored edge is found without
     search, so only the non-edges before e* are searched, in lexicographic
     order, stopping at the first that does not arrow; if all of them arrow,
-    e* is the failing edge.  Each extension search gets the part of
-    node_limit that the searches before it left.  workers is accepted for
-    compatibility and unused.
+    e* is the failing edge.  All these searches draw on the enclosing
+    node_budget; the verdict is None when it runs out, even after a
+    witness was found.  workers is accepted for compatibility and unused.
     """
     delta, chi, ht_bound = graph_facts(g, spec)
     meets_ht = (g.edge_count >= ht_bound) if ht_bound is not None else None
 
     def report(verdict, failing=None, witness=None, nodes=0):
         return CocriticalReport(
-            spec, verdict, failing, witness, delta, chi, g.edge_count,
-            ht_bound, meets_ht, nodes,
+            spec, verdict, failing, witness, delta, chi, ht_bound, meets_ht, nodes
         )
 
     if g.is_complete():
         return report(False)
 
-    base = arrows(g, spec, node_limit=node_limit)
+    base = arrows(g, spec)
     nodes = base.stats.nodes
     verdict_value = None if base.arrows is None else not base.arrows
     failing: Edge | None = None
@@ -133,8 +126,7 @@ def is_cocritical(
         ]
         cut = first_free_non_edge(classes, non_edges)
         for e in non_edges[:cut]:
-            budget = None if node_limit is None else node_limit - nodes
-            verdict = arrows(add_edge(g, e), spec, node_limit=budget)
+            verdict = arrows(add_edge(g, e), spec)
             nodes += verdict.stats.nodes
             if verdict.arrows is not True:
                 verdict_value = verdict.arrows
@@ -146,24 +138,25 @@ def is_cocritical(
                 verdict_value = False
                 failing = non_edges[cut]
 
-    return report(
-        verdict_value, failing, base.witness if verdict_value else None, nodes
-    )
+    return report(verdict_value, failing, base.witness if verdict_value else None, nodes)
 
 
 def is_minimal_cocritical(
-    g: Graph,
-    spec: CliqueVector,
-    *,
-    report: CocriticalReport | None = None,
+    g: Graph, spec: CliqueVector, *, report: CocriticalReport | None = None
 ) -> bool:
-    """True iff deleting any single vertex destroys co-criticality."""
+    """True iff deleting any single vertex destroys co-criticality; raises
+    ValueError if g is not co-critical, NodeLimitExceeded if the budget runs out."""
     if report is None:
         report = is_cocritical(g, spec)
-    if report.is_cocritical is not True:
+    if report.is_cocritical is None:
+        raise NodeLimitExceeded
+    if not report.is_cocritical:
         raise ValueError("minimality is only defined for co-critical graphs")
     for v in range(g.n):
-        if is_cocritical(delete_vertex(g, v), spec).is_cocritical:
+        verdict = is_cocritical(delete_vertex(g, v), spec).is_cocritical
+        if verdict is None:
+            raise NodeLimitExceeded
+        if verdict:
             return False
     return True
 
@@ -232,11 +225,11 @@ def check_lemma_1_5(
     """Structural checks on the extremal critical coloring of a co-critical graph.
 
     The lemma is stated for a critical coloring with the largest last color
-    class, which is computed when coloring is None; a caller that passes a
-    coloring must pass such an extremal one.  A coloring that is not
-    critical for g raises ValueError.  Clauses quantify over vertices x of
-    degree at most n-2.  The clique vector must be standard
-    (CliqueVector.is_standard).
+    class, which is computed when coloring is None (its search may raise
+    NodeLimitExceeded); a caller that passes a coloring must pass such an
+    extremal one.  A coloring that is not critical for g raises ValueError.
+    Clauses quantify over vertices x of degree at most n-2.  The clique
+    vector must be standard (CliqueVector.is_standard).
     """
     if not spec.is_standard():
         raise ValueError(NONSTANDARD_SPEC)
@@ -363,14 +356,15 @@ def lemma_suite(g: Graph, spec: CliqueVector) -> list[LemmaFinding]:
     The checks run on the sorted spec, since co-criticality does not depend
     on the order of the targets.  They need a standard sorted spec
     (CliqueVector.is_standard); otherwise there are no findings.  The
-    chromatic bound runs when the Ramsey number for the spec is known.
+    chromatic bound runs when r(spec) is known and graph_facts reports chi.
+    Raises NodeLimitExceeded if the node_budget runs out.
     """
     findings: list[LemmaFinding] = []
     spec = spec.sorted()
     if not spec.is_standard():
         return findings
     r = known_ramsey(spec)
-    if r is not None:
+    if r is not None and g.n <= CHROMATIC_MAX_VERTICES:
         findings.append(check_lemma_1_2(g, spec, r))
     findings.append(mindeg_assert(g, spec))
     findings.extend(check_lemma_1_5(g, spec))

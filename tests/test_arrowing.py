@@ -17,9 +17,11 @@ from rck.arrowing import (
     _Search,
     CliqueVector,
     EdgeColoring,
+    NodeLimitExceeded,
     arrows,
     extremal_critical_coloring,
     is_critical,
+    node_budget,
     parse_coloring,
     serialize_coloring,
 )
@@ -149,8 +151,9 @@ class TestArrows:
         assert verdict.arrows is False
         assert verdict.witness.colors == ()
 
-    def test_node_limit_reports_indeterminate(self):
-        verdict = arrows(complete_graph(6), S33, node_limit=5)
+    def test_exhausted_budget_reports_indeterminate(self):
+        with node_budget(5):
+            verdict = arrows(complete_graph(6), S33)
         assert verdict.arrows is None
         assert verdict.witness is None
 
@@ -199,22 +202,58 @@ class TestArrows:
 
 
 class TestNodeBudget:
-    """node_limit bounds the nodes of the search."""
+    """node_budget bounds the nodes of every search started in the block."""
 
     def test_witness_past_the_limit_is_indeterminate(self):
         # The K8 (3,4) witness takes 39 nodes.
         g = complete_graph(8)
-        assert arrows(g, S34, node_limit=39).arrows is False
-        verdict = arrows(g, S34, node_limit=38)
+        with node_budget(39):
+            assert arrows(g, S34).arrows is False
+        with node_budget(38):
+            verdict = arrows(g, S34)
         assert verdict.arrows is None and verdict.witness is None
         assert verdict.stats.nodes > 38
 
     def test_proof_past_the_limit_is_indeterminate(self):
         # The K9 (3,4) proof takes 220 nodes.
-        assert arrows(complete_graph(9), S34, node_limit=220).arrows is True
-        verdict = arrows(complete_graph(9), S34, node_limit=219)
+        with node_budget(220):
+            assert arrows(complete_graph(9), S34).arrows is True
+        with node_budget(219):
+            verdict = arrows(complete_graph(9), S34)
         assert verdict.arrows is None
         assert (verdict.stats.nodes, verdict.stats.max_depth) == (220, 30)
+
+    def test_searches_in_a_block_share_one_count(self):
+        g = complete_graph(8)
+        with node_budget(78):
+            assert [arrows(g, S34).arrows for _ in range(2)] == [False, False]
+        with node_budget(77):
+            first, second, third = (arrows(g, S34) for _ in range(3))
+        assert first.arrows is False and first.stats.nodes == 39
+        # The second search runs out at node 39; the third at its first node.
+        assert second.arrows is None and second.stats.nodes == 39
+        assert third.arrows is None and third.stats.nodes == 1
+
+    def test_innermost_block_governs_and_none_sets_no_limit(self):
+        g = complete_graph(8)
+        with node_budget(38):
+            with node_budget(None):
+                assert arrows(g, S34).arrows is False
+            with node_budget(39):
+                assert arrows(g, S34).arrows is False
+            assert arrows(g, S34).arrows is None
+        assert arrows(g, S34).arrows is False
+
+    def test_extremal_raises_one_node_short(self):
+        g = complete_graph(5)
+        search = _Search(g, S33, twins=True)
+        search.optimum(2, True)
+        cost = search.nodes
+        with node_budget(cost):
+            coloring = extremal_critical_coloring(g, S33, 2, "max")
+        assert coloring == extremal_critical_coloring(g, S33, 2, "max")
+        with node_budget(cost - 1), pytest.raises(NodeLimitExceeded):
+            extremal_critical_coloring(g, S33, 2, "max")
 
 
 class TestOrderedMap:

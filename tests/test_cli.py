@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from rck.cli import EXIT_INDETERMINATE, EXIT_INPUT_ERROR, EXIT_OK, main, run
+from rck.constructions import k6_minus
 from rck.graph6 import parse_graph6, to_graph6
 from rck.graphs import complete_graph, cycle_graph, empty_graph
 
@@ -148,6 +149,35 @@ class TestCocriticalCommand:
             lemmas.append(rec["lemmas"])
         assert lemmas[0] == lemmas[1] != []
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_budget_covers_minimality_and_lemmas(self, workers):
+        # K6-e: the verdict takes 29 nodes, minimality 92 and the lemma
+        # suite 33, 154 in all.  Each input line has its own budget.
+        stream = 2 * (to_graph6(k6_minus()) + "\n")
+        argv = [
+            "cocritical", "--spec", "3,3", "--minimal", "--lemmas", "--workers", workers,
+        ]
+        _, unlimited = invoke(argv, stream)
+        assert invoke(argv + ["--node-limit", "154"], stream) == (EXIT_OK, unlimited)
+        # The part that runs out, and every part after it, keep their defaults.
+        for limit, minimal in (("153", True), ("120", None), ("29", None)):
+            code, out = invoke(argv + ["--node-limit", limit], stream)
+            assert code == EXIT_INDETERMINATE
+            for rec in records(out):
+                assert (rec["verdict"], rec["minimal"], rec["lemmas"]) == (True, minimal, [])
+                assert rec["stats"] == {"nodes": 29}
+
+    def test_lemmas_past_the_chromatic_limit(self):
+        # chi is unknown past 16 vertices, so the chromatic bound is skipped.
+        code, out = invoke([
+            "cocritical", "--spec", "3,3", "--construct", "hanson-toft:3,3:17", "--lemmas",
+        ])
+        assert code == EXIT_OK
+        (rec,) = records(out)
+        assert rec["verdict"] is True and rec["chi"] is None
+        assert rec["lemmas"] and all(f["holds"] for f in rec["lemmas"])
+        assert "1.2" not in {f["clause"] for f in rec["lemmas"]}
+
     def test_one_color_spec_has_no_lemma_findings(self):
         # C5 is co-critical for (3); the structural checks need two colors.
         code, out = invoke(
@@ -263,6 +293,15 @@ class TestScanCommand:
         (summary,) = records(out)
         assert summary["indeterminate"] == 1
         assert summary["cocritical"] == 0
+
+    def test_budget_short_of_the_lemma_suite_is_indeterminate(self):
+        # K6-e: the verdict takes 29 nodes and the lemma suite 33 more.
+        argv = ["scan", "--spec", "3,3", "--construct", "k6minus", "--node-limit"]
+        for limit, code, counts in (("61", EXIT_INDETERMINATE, (0, 1)), ("62", EXIT_OK, (1, 0))):
+            got, out = invoke(argv + [limit])
+            (summary,) = records(out)
+            assert got == code
+            assert (summary["cocritical"], summary["indeterminate"]) == counts
 
 
 class TestWorkerDispatch:

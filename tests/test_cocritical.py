@@ -4,9 +4,11 @@ from oracles import brute_is_cocritical
 from rck.arrowing import (
     CliqueVector,
     EdgeColoring,
+    NodeLimitExceeded,
     arrows,
     extremal_critical_coloring,
     is_critical,
+    node_budget,
 )
 from rck.cocritical import (
     check_lemma_1_2,
@@ -38,7 +40,6 @@ class TestIsCocritical:
         assert report.is_cocritical is True
         assert report.failing_edge is None
         assert report.delta == 4 and report.chi == 5
-        assert report.edge_count == 14
         assert report.ht_bound == 14 and report.meets_ht
         assert is_critical(k6_minus(), report.base_witness, S33)
 
@@ -93,18 +94,21 @@ class TestIsCocritical:
                 continue
             assert is_cocritical(g, S33).is_cocritical == brute_is_cocritical(g, S33)
 
-    def test_node_limit_is_one_budget_over_the_extensions(self):
+    def test_budget_covers_the_base_and_every_extension(self):
         # HT(3,3) n=7 is K4 joined to three vertices: its base search takes
         # 21 nodes, and its three extensions 18, 24 and 24.  A limit of 63
         # fits each search but not their sum.
         g = hanson_toft(S33, 7)
         for limit in (63, 86):
-            assert is_cocritical(g, S33, node_limit=limit).is_cocritical is None
-        report = is_cocritical(g, S33, node_limit=87)
+            with node_budget(limit):
+                assert is_cocritical(g, S33).is_cocritical is None
+        with node_budget(87):
+            report = is_cocritical(g, S33)
         assert report.is_cocritical is True and report.nodes == 87
 
-    def test_node_limit_gives_indeterminate(self):
-        report = is_cocritical(k6_minus(), S33, node_limit=3)
+    def test_exhausted_budget_gives_indeterminate(self):
+        with node_budget(3):
+            report = is_cocritical(k6_minus(), S33)
         assert report.is_cocritical is None
 
 
@@ -166,6 +170,21 @@ class TestMinimality:
     def test_requires_cocritical_input(self):
         with pytest.raises(ValueError):
             is_minimal_cocritical(cycle_graph(5), S33)
+
+    def test_raises_one_node_short(self):
+        # K6-e: the co-critical verdict takes 29 nodes, the six deletions 92.
+        g = k6_minus()
+        report = is_cocritical(g, S33)
+        with node_budget(92):
+            assert is_minimal_cocritical(g, S33, report=report) is True
+        with node_budget(91), pytest.raises(NodeLimitExceeded):
+            is_minimal_cocritical(g, S33, report=report)
+        with node_budget(29 + 91), pytest.raises(NodeLimitExceeded):
+            is_minimal_cocritical(g, S33)
+
+    def test_exhausted_verdict_is_not_a_value_error(self):
+        with node_budget(5), pytest.raises(NodeLimitExceeded):
+            is_minimal_cocritical(k6_minus(), S33)
 
 
 class TestLemma12:
@@ -305,6 +324,24 @@ class TestLemmaSuite:
         assert descending.sorted() == S34
         assert lemma_suite(g, descending) == lemma_suite(g, S34) != []
         assert mindeg_assert(g, descending).context["bound"] == 7
+
+    def test_raises_one_node_short(self):
+        # The extremal coloring of K6-e for Lemma 1.5 takes 33 nodes.
+        unlimited = lemma_suite(k6_minus(), S33)
+        with node_budget(33):
+            assert lemma_suite(k6_minus(), S33) == unlimited
+        with node_budget(32), pytest.raises(NodeLimitExceeded):
+            lemma_suite(k6_minus(), S33)
+
+    def test_chromatic_bound_skipped_past_the_chromatic_limit(self):
+        # HT(3,3) n=17 has 17 vertices, one past chromatic_number's limit;
+        # the other checks still run.
+        findings = lemma_suite(hanson_toft(S33, 17), S33)
+        clauses = {f.clause for f in findings}
+        assert "1.2" not in clauses
+        assert {"thm1.6-degree", "1.5a", "1.5b"} <= clauses
+        assert all(f.holds for f in findings)
+        assert any(f.clause == "1.2" for f in lemma_suite(hanson_toft(S33, 16), S33))
 
     def test_suite_empty_for_unqualified_spec(self):
         g = from_edges(3, [(0, 1)])

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -8,7 +10,8 @@ from rck.enumerate_graphs import KNOWN_COUNTS, graphs_up_to
 from rck.graph6 import to_graph6
 from rck.graphs import Graph, degree_stats, from_edges
 
-CORPUS8 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "graphs8.g6"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS8 = ROOT / "perfbench" / "data" / "graphs8.g6"
 
 
 def test_counts_match_published_values_small():
@@ -22,6 +25,16 @@ def test_level_lists_are_canonical_and_sorted():
     forms = [canonical_form(g) for g in graphs]
     assert forms == sorted(forms)
     assert len(set(forms)) == len(forms)
+
+
+def test_gen_corpus_script_prints_one_level():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "gen_corpus.py"), "5"],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    lines = out.splitlines()
+    assert len(lines) == KNOWN_COUNTS[5] == 34
+    assert lines == [to_graph6(g) for g in graphs_up_to(5)[5]]
 
 
 def test_corpus_counts_up_to_eight(corpus):
