@@ -4,7 +4,7 @@ Counting refinement on the adjacency bitmasks splits the vertices into
 order-invariant classes, then a backtracking search over class-respecting
 relabelings finds the one whose graph6 bit stream is lexicographically
 smallest.  Each placement extends every vertex's adjacency column by one bit,
-so the winning columns are that bit stream.  Equal canonical byte strings
+so the winning columns are that bit stream.  Equal canonical graph6 strings
 therefore mean isomorphic graphs and vice versa.  Leaves that tie differ by an
 automorphism; `automorphism_generators` reports those and the twin swaps.
 """
@@ -141,10 +141,10 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return _search(g)[2]
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: equal iff the graphs are isomorphic.  It is
-    graph6, packed from the search's winning columns."""
+def canonical_form(g: Graph) -> str:
+    """Canonical graph6 string: equal iff the graphs are isomorphic.  It is
+    packed from the search's winning columns."""
     word = 0
     for j, col in enumerate(_search(g)[0]):
         word = word << (j + 1) | col
-    return pack_graph6(g.n, word).encode("ascii")
+    return pack_graph6(g.n, word)

@@ -240,8 +240,8 @@ def _scan_graph(cfg: argparse.Namespace, line: str):
         True,
         {
             "delta": report.delta,
-            "canonical": canonical_form(g).decode("ascii"),
-            "findings": [(f.clause, f.holds, f.vacuous) for f in findings],
+            "canonical": canonical_form(g),
+            "holds": [f.holds for f in findings],
         },
         report.nodes,
     )
@@ -262,7 +262,7 @@ def cmd_scan(cfg: argparse.Namespace, out) -> int:
         elif verdict:
             cocritical_info.append(info)
 
-    holds = [h for info in cocritical_info for _, h, _ in info["findings"]]
+    holds = [h for info in cocritical_info for h in info["holds"]]
     lemma_pass = sum(holds)
     lemma_fail = len(holds) - lemma_pass
     deltas = [info["delta"] for info in cocritical_info]

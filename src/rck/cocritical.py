@@ -48,7 +48,6 @@ from .graphs import (
 class CocriticalReport:
     """Per-graph verdict bundle; is_cocritical None means budget ran out."""
 
-    spec: CliqueVector
     is_cocritical: bool | None
     failing_edge: Edge | None
     base_witness: EdgeColoring | None
@@ -104,9 +103,7 @@ def is_cocritical(g: Graph, spec: CliqueVector, *, workers: int = 1) -> Cocritic
     meets_ht = (g.edge_count >= ht_bound) if ht_bound is not None else None
 
     def report(verdict, failing=None, witness=None, nodes=0):
-        return CocriticalReport(
-            spec, verdict, failing, witness, delta, chi, ht_bound, meets_ht, nodes
-        )
+        return CocriticalReport(verdict, failing, witness, delta, chi, ht_bound, meets_ht, nodes)
 
     if g.is_complete():
         return report(False)

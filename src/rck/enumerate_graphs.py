@@ -37,17 +37,16 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
     new vertex: the skipped masks give no new class.  Generators of any
     subgroup of Aut(g) suffice.
 
-    Each list is sorted by canonical graph6 string, so its order is a
-    deterministic function of the vertex count alone.
+    Each level is decoded once, when complete, from its sorted canonical
+    graph6 strings, so its order is a deterministic function of the vertex
+    count alone.
     """
     if not 1 <= n <= 12:
         raise ValueError("enumeration supports 1..12 vertices")
-    level = {canonical_form(Graph(1, (0,)))}
-    levels = {1: level}
+    levels = {1: [Graph(1, (0,))]}
     for size in range(2, n + 1):
-        nxt: set[bytes] = set()
-        for form in level:
-            g = parse_graph6(form.decode("ascii"))
+        forms: set[str] = set()
+        for g in levels[size - 1]:
             delta, _, degs = degree_stats(g)
             low = sum(1 << v for v, dv in enumerate(degs) if dv == delta)
             generators = automorphism_generators(g)
@@ -66,11 +65,6 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
                             orbit.append(y)
                 adj = [g.adj[v] | ((mask >> v & 1) << (size - 1)) for v in range(size - 1)]
                 adj.append(mask)
-                nxt.add(canonical_form(Graph(size, tuple(adj))))
-        level = nxt
-        levels[size] = level
-    return {
-        size: [parse_graph6(form.decode("ascii")) for form in sorted(forms)]
-        for size, forms in levels.items()
-    }
-
+                forms.add(canonical_form(Graph(size, tuple(adj))))
+        levels[size] = [parse_graph6(form) for form in sorted(forms)]
+    return levels

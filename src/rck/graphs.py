@@ -8,7 +8,7 @@ mask arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 MAX_VERTICES = 32
 CHROMATIC_MAX_VERTICES = 16
@@ -128,19 +128,7 @@ def complete_multipartite_graph(parts) -> Graph:
     parts = list(parts)
     if not parts or any(p < 1 for p in parts):
         raise ValueError("part sizes must be positive")
-    n = sum(parts)
-    offsets = []
-    start = 0
-    for p in parts:
-        offsets.append((start, p))
-        start += p
-    full = (1 << n) - 1
-    adj = []
-    for start, p in offsets:
-        own = ((1 << p) - 1) << start
-        for v in range(start, start + p):
-            adj.append(full & ~own)
-    return Graph(n, tuple(adj))
+    return reduce(join, map(empty_graph, parts))
 
 
 def add_edge(g: Graph, e: Edge) -> Graph:
@@ -255,12 +243,11 @@ def first_free_non_edge(classes, non_edges: list[Edge]) -> int:
     return len(non_edges)
 
 
-def has_clique(g: Graph, t: int, within: VertexSet | None = None) -> bool:
-    """True iff the subgraph induced by within (default: all of g) contains K_t."""
+def has_clique(g: Graph, t: int) -> bool:
+    """True iff g contains K_t."""
     if t < 1:
         raise ValueError("clique size must be at least 1")
-    mask = g.full_mask if within is None else within & g.full_mask
-    return mask_has_clique(g.adj, mask, t)
+    return mask_has_clique(g.adj, g.full_mask, t)
 
 
 def chromatic_number(g: Graph) -> int:

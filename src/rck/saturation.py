@@ -18,12 +18,11 @@ class SaturationReport:
     min degree >= 2(t-2)" and is vacuously true for unsaturated graphs.
     """
 
-    t: int
     is_free: bool
     is_saturated: bool
     violating_non_edge: Edge | None
     hajnal_holds: bool
-    vacuously_complete: bool = False
+    vacuously_complete: bool
 
 
 def is_saturated(g: Graph, t: int) -> SaturationReport:
@@ -32,17 +31,12 @@ def is_saturated(g: Graph, t: int) -> SaturationReport:
         raise ValueError("clique target must be at least 2")
     free = not has_clique(g, t)
     non_edges = g.non_edges()
-    if not non_edges:
-        saturated = free
-        return SaturationReport(
-            t, free, saturated, None, _hajnal(g, t, saturated), vacuously_complete=True
-        )
-    if not free:
-        return SaturationReport(t, False, False, None, True)
-    index = first_free_non_edge([(g.adj, t - 2)], non_edges)
-    violating = non_edges[index] if index < len(non_edges) else None
-    saturated = violating is None
-    return SaturationReport(t, True, saturated, violating, _hajnal(g, t, saturated))
+    violating = None
+    if free:
+        index = first_free_non_edge([(g.adj, t - 2)], non_edges)
+        violating = non_edges[index] if index < len(non_edges) else None
+    saturated = free and violating is None
+    return SaturationReport(free, saturated, violating, _hajnal(g, t, saturated), not non_edges)
 
 
 def _hajnal(g: Graph, t: int, saturated: bool) -> bool:

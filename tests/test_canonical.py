@@ -105,8 +105,8 @@ def test_size_cap():
 @given(small_graphs(min_n=1, max_n=12))
 def test_form_is_graph6_of_the_canonical_relabeling(g):
     # canonical_form packs the search's columns itself; it must spell the
-    # same bytes as writing the relabeled graph out with to_graph6.
-    assert canonical_form(g) == to_graph6(relabel(g, canonical_permutation(g))).encode()
+    # same string as writing the relabeled graph out with to_graph6.
+    assert canonical_form(g) == to_graph6(relabel(g, canonical_permutation(g)))
 
 
 @settings(max_examples=200, deadline=None)

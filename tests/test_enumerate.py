@@ -7,7 +7,7 @@ import pytest
 
 from rck.canonical import canonical_form
 from rck.enumerate_graphs import KNOWN_COUNTS, graphs_up_to
-from rck.graph6 import to_graph6
+from rck.graph6 import parse_graph6, to_graph6
 from rck.graphs import Graph, degree_stats, from_edges
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,10 +78,10 @@ def test_orbit_pruning_loses_no_class(corpus):
 
 
 def test_augmentation_canonicalises_only_minimum_degree_extensions(monkeypatch):
-    # Up to n=7, extending by every mask would make 11,291 calls, every
-    # mask that gives the new vertex minimum degree 3,132, and one such
+    # Up to n=7, extending by every mask would make 11,290 calls, every
+    # mask that gives the new vertex minimum degree 3,131, and one such
     # mask per orbit under the automorphisms the canonical search finds
-    # 1,640.
+    # 1,639.
     calls = 0
 
     def counting(g):
@@ -91,4 +91,19 @@ def test_augmentation_canonicalises_only_minimum_degree_extensions(monkeypatch):
 
     monkeypatch.setattr("rck.enumerate_graphs.canonical_form", counting)
     graphs_up_to(7)
-    assert calls == 1640
+    assert calls == 1639
+
+
+def test_each_level_is_decoded_once(monkeypatch):
+    # Levels 2..6 hold 2 + 4 + 11 + 34 + 156 = 207 graphs; level 1 is built
+    # directly and no parent is decoded again before it is extended.
+    calls = 0
+
+    def counting(text):
+        nonlocal calls
+        calls += 1
+        return parse_graph6(text)
+
+    monkeypatch.setattr("rck.enumerate_graphs.parse_graph6", counting)
+    graphs_up_to(6)
+    assert calls == sum(KNOWN_COUNTS[n] for n in range(2, 7)) == 207
