@@ -25,6 +25,7 @@ from .arrowing import (
 from .constructions import (
     NONSTANDARD_SPEC,
     hanson_toft_edge_count,
+    holds_ramsey_clique,
     known_ramsey,
     sharp_mindeg_bound,
 )
@@ -91,6 +92,10 @@ def is_cocritical(g: Graph, spec: CliqueVector, *, workers: int = 1) -> Cocritic
     refuting non-edge; a complete graph is reported not co-critical with
     no failing edge and no search.
 
+    The K_r rule (holds_ramsey_clique) settles, without search, a base graph
+    that contains K_r for a verified r = r(spec) (it arrows, so it is not
+    co-critical) and every extension that closes such a K_r (it arrows).
+
     Witness-first refutation: the least non-edge e* whose extension the
     base witness refutes with one more colored edge is found without
     search, so only the non-edges before e* are searched, in lexicographic
@@ -105,7 +110,7 @@ def is_cocritical(g: Graph, spec: CliqueVector, *, workers: int = 1) -> Cocritic
     def report(verdict, failing=None, witness=None, nodes=0):
         return CocriticalReport(verdict, failing, witness, delta, chi, ht_bound, meets_ht, nodes)
 
-    if g.is_complete():
+    if g.is_complete() or holds_ramsey_clique(g, spec):
         return report(False)
 
     base = arrows(g, spec)
@@ -123,6 +128,8 @@ def is_cocritical(g: Graph, spec: CliqueVector, *, workers: int = 1) -> Cocritic
         ]
         cut = first_free_non_edge(classes, non_edges)
         for e in non_edges[:cut]:
+            if holds_ramsey_clique(g, spec, e):
+                continue
             verdict = arrows(add_edge(g, e), spec)
             nodes += verdict.stats.nodes
             if verdict.arrows is not True:

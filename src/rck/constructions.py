@@ -7,16 +7,20 @@ from math import comb
 
 from .arrowing import CliqueVector
 from .graphs import (
+    Edge,
     Graph,
     complete_graph,
     complete_multipartite_graph,
     empty_graph,
+    has_clique,
     join,
+    mask_has_clique,
     remove_edge,
 )
 
-# Ramsey numbers small enough to re-prove by search.
-VERIFIED_RAMSEY = {(3, 3): 6, (3, 4): 9}
+# Ramsey numbers small enough to re-prove by search; the tests re-prove each
+# one, so holds_ramsey_clique may rely on them.
+VERIFIED_RAMSEY = {(3, 3): 6, (3, 4): 9, (3, 5): 14}
 # Ramsey values far beyond the search budget, only ever reported as cited.
 CITED_RAMSEY = {(3, 3, 3): 17}
 
@@ -30,6 +34,23 @@ def known_ramsey(spec: CliqueVector) -> int | None:
     """
     key = spec.sorted().sizes
     return VERIFIED_RAMSEY.get(key, CITED_RAMSEY.get(key))
+
+
+def holds_ramsey_clique(g: Graph, spec: CliqueVector, edge: Edge | None = None) -> bool:
+    """The K_r rule: True when g, or g plus the non-edge uv, contains K_r for
+    r = r(spec) re-proved by search, so that it arrows by monotonicity.
+
+    Only VERIFIED_RAMSEY values take the rule, never cited ones.  With an
+    edge, g itself must be K_r-free: g + uv then contains K_r exactly when
+    the common neighborhood of u and v holds a K_{r-2}.
+    """
+    r = VERIFIED_RAMSEY.get(tuple(sorted(spec.sizes)))
+    if r is None:
+        return False
+    if edge is None:
+        return has_clique(g, r)
+    u, v = edge
+    return mask_has_clique(g.adj, g.adj[u] & g.adj[v], r - 2)
 
 
 def ramsey_lower_bound(s: int, t: int) -> int:

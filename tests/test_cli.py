@@ -151,21 +151,21 @@ class TestCocriticalCommand:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_covers_minimality_and_lemmas(self, workers):
-        # K6-e: the verdict takes 29 nodes, minimality 92 and the lemma
-        # suite 33, 154 in all.  Each input line has its own budget.
+        # K6-e: the verdict takes 16 nodes, minimality 92 and the lemma
+        # suite 33, 141 in all.  Each input line has its own budget.
         stream = 2 * (to_graph6(k6_minus()) + "\n")
         argv = [
             "cocritical", "--spec", "3,3", "--minimal", "--lemmas", "--workers", workers,
         ]
         _, unlimited = invoke(argv, stream)
-        assert invoke(argv + ["--node-limit", "154"], stream) == (EXIT_OK, unlimited)
+        assert invoke(argv + ["--node-limit", "141"], stream) == (EXIT_OK, unlimited)
         # The part that runs out, and every part after it, keep their defaults.
-        for limit, minimal in (("153", True), ("120", None), ("29", None)):
+        for limit, minimal in (("140", True), ("107", None), ("16", None)):
             code, out = invoke(argv + ["--node-limit", limit], stream)
             assert code == EXIT_INDETERMINATE
             for rec in records(out):
                 assert (rec["verdict"], rec["minimal"], rec["lemmas"]) == (True, minimal, [])
-                assert rec["stats"] == {"nodes": 29}
+                assert rec["stats"] == {"nodes": 16}
 
     def test_lemmas_past_the_chromatic_limit(self):
         # chi is unknown past 16 vertices, so the chromatic bound is skipped.
@@ -295,9 +295,9 @@ class TestScanCommand:
         assert summary["cocritical"] == 0
 
     def test_budget_short_of_the_lemma_suite_is_indeterminate(self):
-        # K6-e: the verdict takes 29 nodes and the lemma suite 33 more.
+        # K6-e: the verdict takes 16 nodes and the lemma suite 33 more.
         argv = ["scan", "--spec", "3,3", "--construct", "k6minus", "--node-limit"]
-        for limit, code, counts in (("61", EXIT_INDETERMINATE, (0, 1)), ("62", EXIT_OK, (1, 0))):
+        for limit, code, counts in (("48", EXIT_INDETERMINATE, (0, 1)), ("49", EXIT_OK, (1, 0))):
             got, out = invoke(argv + [limit])
             (summary,) = records(out)
             assert got == code

@@ -21,6 +21,7 @@ from rck.cocritical import (
     mindeg_assert,
 )
 from rck.constructions import hanson_toft, k6_minus
+from rck.graph6 import parse_graph6
 from rck.graphs import (
     add_edge,
     complete_graph,
@@ -32,6 +33,8 @@ from rck.graphs import (
 
 S33 = CliqueVector((3, 3))
 S34 = CliqueVector((3, 4))
+S35 = CliqueVector((3, 5))
+S333 = CliqueVector((3, 3, 3))
 
 
 class TestIsCocritical:
@@ -95,16 +98,17 @@ class TestIsCocritical:
             assert is_cocritical(g, S33).is_cocritical == brute_is_cocritical(g, S33)
 
     def test_budget_covers_the_base_and_every_extension(self):
-        # HT(3,3) n=7 is K4 joined to three vertices: its base search takes
-        # 21 nodes, and its three extensions 18, 24 and 24.  A limit of 63
-        # fits each search but not their sum.
-        g = hanson_toft(S33, 7)
-        for limit in (63, 86):
+        # D^{ under (3,3): its base search takes 11 nodes and its one
+        # searched extension, (0,1), 12 nodes without arrowing.  A limit of
+        # 22 fits each search but not their sum.
+        g = parse_graph6("D^{")
+        for limit in (11, 22):
             with node_budget(limit):
                 assert is_cocritical(g, S33).is_cocritical is None
-        with node_budget(87):
+        with node_budget(23):
             report = is_cocritical(g, S33)
-        assert report.is_cocritical is True and report.nodes == 87
+        assert report.is_cocritical is False and report.failing_edge == (0, 1)
+        assert report.nodes == 23
 
     def test_exhausted_budget_gives_indeterminate(self):
         with node_budget(3):
@@ -141,21 +145,56 @@ class TestWitnessFirstRefutation:
         assert report.nodes == base.stats.nodes
 
 
+class TestRamseyCliqueRule:
+    def test_extensions_holding_k9_cost_no_search(self):
+        # Every non-edge extension of HT(3,4) holds K9, so the verdict costs
+        # only the base search.
+        for n in range(9, 13):
+            g = hanson_toft(S34, n)
+            base = arrows(g, S34)
+            report = is_cocritical(g, S34)
+            assert report.is_cocritical is True
+            assert report.nodes == base.stats.nodes
+
+    def test_base_graph_holding_k_r_costs_no_search(self):
+        report = is_cocritical(join(complete_graph(6), empty_graph(2)), S33)
+        assert (report.is_cocritical, report.failing_edge, report.nodes) == (False, None, 0)
+
+    def test_cited_ramsey_value_never_takes_the_rule(self):
+        # r(3,3,3) = 17 is only cited: a graph holding K17 is still searched,
+        # so a small budget leaves it undecided instead of settled for free.
+        g = join(complete_graph(17), empty_graph(2))
+        with node_budget(50):
+            report = is_cocritical(g, S333)
+        assert report.is_cocritical is None and report.nodes > 50
+
+
 class TestHansonToftFamily:
     def test_cocritical_through_r_plus_two(self):
-        # Construction invariant for both verified specs: co-critical with
+        # Construction invariant for every verified spec: co-critical with
         # the closed-form edge count and minimum degree r-2, for every
-        # r <= n <= r+2.  The (3,4) n=11 instance dominates the runtime.
-        from rck.constructions import hanson_toft_edge_count
+        # r <= n <= r+2.
+        from rck.constructions import hanson_toft_edge_count, mindeg_bound
         from rck.graphs import degree_stats
 
-        for spec, r in ((S33, 6), (S34, 9)):
+        for spec, r in ((S33, 6), (S34, 9), (S35, 14)):
             for n in range(r, r + 3):
                 g = hanson_toft(spec, n)
                 assert g.edge_count == hanson_toft_edge_count(r, n)
-                assert degree_stats(g)[0] == r - 2
+                assert degree_stats(g)[0] == r - 2 >= mindeg_bound(spec)
                 report = is_cocritical(g, spec, workers=2)
                 assert report.is_cocritical is True
+
+    def test_hanson_toft_35_meets_every_lemma(self):
+        # (3,5) is the first spec checked against the general bound (8)
+        # rather than a sharp value.
+        from rck.constructions import mindeg_bound
+
+        g = hanson_toft(S35, 14)
+        assert mindeg_bound(S35) == 8
+        findings = lemma_suite(g, S35)
+        assert findings and all(f.holds for f in findings)
+        assert {f.clause for f in findings} >= {"1.2", "thm1.6-degree", "1.5a", "1.5b"}
 
 
 class TestMinimality:
@@ -172,15 +211,18 @@ class TestMinimality:
             is_minimal_cocritical(cycle_graph(5), S33)
 
     def test_raises_one_node_short(self):
-        # K6-e: the co-critical verdict takes 29 nodes, the six deletions 92.
+        # K6-e: the co-critical verdict takes 16 nodes (its one extension is
+        # K6), the six deletions 92.
         g = k6_minus()
         report = is_cocritical(g, S33)
         with node_budget(92):
             assert is_minimal_cocritical(g, S33, report=report) is True
         with node_budget(91), pytest.raises(NodeLimitExceeded):
             is_minimal_cocritical(g, S33, report=report)
-        with node_budget(29 + 91), pytest.raises(NodeLimitExceeded):
+        with node_budget(16 + 91), pytest.raises(NodeLimitExceeded):
             is_minimal_cocritical(g, S33)
+        with node_budget(16 + 92):
+            assert is_minimal_cocritical(g, S33) is True
 
     def test_exhausted_verdict_is_not_a_value_error(self):
         with node_budget(5), pytest.raises(NodeLimitExceeded):

@@ -7,6 +7,7 @@ from rck.constructions import (
     construction_by_name,
     hanson_toft,
     hanson_toft_edge_count,
+    holds_ramsey_clique,
     k6_minus,
     known_ramsey,
     mindeg_bound,
@@ -103,7 +104,7 @@ class TestRamseyFact:
     def test_verified_values_with_witnesses(self):
         """Search re-proves every stored value r: K_r arrows, and K_{r-1}
         has a critical coloring."""
-        assert set(VERIFIED_RAMSEY) == {(3, 3), (3, 4)}
+        assert set(VERIFIED_RAMSEY) == {(3, 3), (3, 4), (3, 5)}
         for sizes, r in VERIFIED_RAMSEY.items():
             spec = CliqueVector(sizes)
             assert arrows(complete_graph(r), spec).arrows is True
@@ -117,9 +118,37 @@ class TestRamseyFact:
 
     def test_known_ramsey(self):
         assert known_ramsey(S33) == 6
+        assert known_ramsey(CliqueVector((3, 5))) == 14
         assert known_ramsey(CliqueVector((4, 4))) is None
         # Ramsey numbers do not depend on the order of the targets.
         assert known_ramsey(CliqueVector((4, 3))) == 9
+
+
+class TestRamseyCliqueRule:
+    """holds_ramsey_clique: a graph that contains K_r, r verified, arrows."""
+
+    def test_whole_graph(self):
+        assert holds_ramsey_clique(complete_graph(6), S33)
+        assert holds_ramsey_clique(join(complete_graph(6), empty_graph(2)), S33)
+        assert not holds_ramsey_clique(complete_graph(5), S33)
+        assert not holds_ramsey_clique(k6_minus(), S33)
+        # The spec is looked up sorted.
+        assert holds_ramsey_clique(complete_graph(9), CliqueVector((4, 3)))
+
+    def test_extension_closes_the_clique(self):
+        assert holds_ramsey_clique(k6_minus(), S33, (0, 1))
+        ht = hanson_toft(S34, 10)
+        for e in ht.non_edges():
+            assert holds_ramsey_clique(ht, S34, e)
+        # HT(3,3) n=6 plus its non-edge is K6, which holds no K9.
+        ht33 = hanson_toft(S33, 6)
+        assert not holds_ramsey_clique(ht33, S34, ht33.non_edges()[0])
+
+    def test_cited_values_never_take_the_rule(self):
+        k17 = complete_graph(17)
+        assert known_ramsey(CliqueVector((3, 3, 3))) == 17
+        assert not holds_ramsey_clique(k17, CliqueVector((3, 3, 3)))
+        assert not holds_ramsey_clique(complete_graph(18), CliqueVector((4, 4)))
 
 
 class TestConstructionNames:
