@@ -319,12 +319,19 @@ RECORDS = {
 }
 
 
+def _record_line(record, cfg: argparse.Namespace, line: str) -> tuple[str, int]:
+    """record(cfg, line) as its output line, so a pool worker serialises it."""
+    fields, code = record(cfg, line)
+    return json.dumps(fields) + "\n", code
+
+
 def cmd_records(cfg: argparse.Namespace, out) -> int:
     """Emit one record per input graph; exit with the worst record's code."""
     exit_code = EXIT_OK
-    for record, code in _stream_records(cfg, RECORDS[cfg.subcommand]):
+    record = partial(_record_line, RECORDS[cfg.subcommand])
+    for text, code in _stream_records(cfg, record):
         exit_code = _worse_exit(exit_code, code)
-        out.write(json.dumps(record) + "\n")
+        out.write(text)
     return exit_code
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .canonical import automorphism_generators, canonical_form
 from .graph6 import parse_graph6
-from .graphs import Graph, bits, degree_stats
+from .graphs import Graph, bits, degree_stats, unchecked_graph
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -65,6 +65,6 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
                             orbit.append(y)
                 adj = [g.adj[v] | ((mask >> v & 1) << (size - 1)) for v in range(size - 1)]
                 adj.append(mask)
-                forms.add(canonical_form(Graph(size, tuple(adj))))
+                forms.add(canonical_form(unchecked_graph(size, tuple(adj))))
         levels[size] = [parse_graph6(form) for form in sorted(forms)]
     return levels

@@ -8,7 +8,7 @@ stored as its value plus 63.
 
 from __future__ import annotations
 
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, unchecked_graph
 
 HEADER = ">>graph6<<"
 
@@ -27,8 +27,14 @@ def to_graph6(g: Graph) -> str:
     adj = g.adj
     word = 0
     for v in range(1, g.n):
-        for u in range(v):
-            word = word << 1 | (adj[u] >> v & 1)
+        # Column v holds rows 0..v-1, row 0 highest.
+        column = 0
+        rows = adj[v] & ((1 << v) - 1)
+        while rows:
+            low = rows & -rows
+            column |= 1 << (v - low.bit_length())
+            rows ^= low
+        word = word << v | column
     return pack_graph6(g.n, word)
 
 
@@ -61,14 +67,17 @@ def parse_graph6(line: str) -> Graph:
     pad = 6 * expect - nbits
     if word & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in graph6 line")
-    # Walk the bits in the order to_graph6 writes them, first bit highest.
-    bit = (1 << 6 * expect) >> 1
+    # Column v is the next v bits after column v-1, row 0 highest, so the
+    # last column is the lowest: peel columns off the low end.
+    word >>= pad
     adj = [0] * n
-    for v in range(1, n):
-        for u in range(v):
-            if word & bit:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            bit >>= 1
-    return Graph(n, tuple(adj))
-
+    for v in range(n - 1, 0, -1):
+        column = word & ((1 << v) - 1)
+        word >>= v
+        while column:
+            low = column & -column
+            u = v - low.bit_length()
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            column ^= low
+    return unchecked_graph(n, tuple(adj))

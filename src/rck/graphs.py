@@ -67,23 +67,41 @@ class Graph:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """All edges (u, v) with u < v, in lexicographic order."""
-        return tuple(
-            (u, v)
-            for u in range(self.n)
-            for v in bits(self.adj[u] >> (u + 1) << (u + 1))
-        )
+        out = []
+        for u, row in enumerate(self.adj):
+            row &= -2 << u
+            while row:
+                low = row & -row
+                out.append((u, low.bit_length() - 1))
+                row ^= low
+        return tuple(out)
 
     def non_edges(self) -> list[Edge]:
         """All non-adjacent pairs (u, v) with u < v, in lexicographic order."""
+        full = self.full_mask
         out = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if not self.adj[u] >> v & 1:
-                    out.append((u, v))
+        for u, row in enumerate(self.adj):
+            rest = full & ~row & -2 << u
+            while rest:
+                low = rest & -rest
+                out.append((u, low.bit_length() - 1))
+                rest ^= low
         return out
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
+
+
+def unchecked_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph built without validation, for rows that are symmetric,
+    loop-free and within 0..n-1 by construction (a decoded graph6 line, or a
+    valid graph plus one new vertex)."""
+    g = object.__new__(Graph)
+    # Set as the dataclass __init__ sets them, so every Graph shares one
+    # key table (a dict built another way costs about 150 bytes more).
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
 
 
 def _check_edge(g: Graph, e: Edge) -> Edge:
@@ -258,26 +276,26 @@ def chromatic_number(g: Graph) -> int:
         )
     n = g.n
     lower = clique_number(g)
-    order = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))
-    # Greedy upper bound along the same order.
-    color = [0] * n
-    upper = 0
+    adj = g.adj
+    # sorted is stable, so ties keep ascending vertex order.
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    # Greedy upper bound along the same order: each vertex joins the first
+    # colour class that holds none of its neighbours.
+    classes: list[int] = []
     for v in order:
-        used = 0
-        for w in bits(g.adj[v]):
-            if color[w]:
-                used |= 1 << color[w]
-        c = 1
-        while used >> c & 1:
-            c += 1
-        color[v] = c
-        upper = max(upper, c)
+        nbrs = adj[v]
+        for i, members in enumerate(classes):
+            if not members & nbrs:
+                classes[i] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    upper = len(classes)
     if lower == upper:
         return lower
 
     best = upper
     assign = [0] * n
-    adj = g.adj
 
     def down(i: int, used: int) -> None:
         nonlocal best

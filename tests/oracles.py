@@ -186,3 +186,44 @@ def brute_is_cocritical(g: Graph, spec: CliqueVector) -> bool:
     if brute_arrows(g, spec):
         return False
     return all(brute_arrows(add_edge(g, e), spec) for e in g.non_edges())
+
+
+def bitwise_graph6_rows(line: str) -> tuple[int, tuple[int, ...]]:
+    """(n, adjacency rows) of a graph6 line, decoded one bit position at a
+    time; the checks and messages are those of rck.graph6.parse_graph6."""
+    text = line.strip()
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<"):]
+    if not text:
+        raise ValueError("empty graph6 line")
+    first = ord(text[0])
+    if first == 126:
+        raise ValueError("multi-byte graph6 sizes exceed the 32-vertex limit")
+    n = first - 63
+    if not 1 <= n <= 32:
+        raise ValueError(f"graph6 vertex count {n} outside 1..32")
+    nbits = n * (n - 1) // 2
+    body = text[1:]
+    expect = (nbits + 5) // 6
+    if len(body) != expect:
+        raise ValueError(
+            f"graph6 body has {len(body)} bytes, expected {expect} for n={n}"
+        )
+    word = 0
+    for ch in body:
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise ValueError(f"invalid graph6 byte {ch!r}")
+        word = word << 6 | val
+    pad = 6 * expect - nbits
+    if word & ((1 << pad) - 1):
+        raise ValueError("nonzero padding bits in graph6 line")
+    bit = (1 << 6 * expect) >> 1
+    adj = [0] * n
+    for v in range(1, n):
+        for u in range(v):
+            if word & bit:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            bit >>= 1
+    return n, tuple(adj)

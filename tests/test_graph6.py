@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from oracles import bitwise_graph6_rows
 from rck.graph6 import parse_graph6, to_graph6
 from rck.graphs import MAX_VERTICES, complete_graph, empty_graph, from_edges
 
@@ -59,3 +60,42 @@ def test_round_trip_line_identity():
             assert parse_graph6(line) == g
             assert to_graph6(parse_graph6(line)) == line
 
+
+def test_parse_matches_the_bitwise_decoder():
+    # Random densities at every n, so every padding length 0..5 occurs.
+    rng = random.Random(22)
+    for n in range(1, MAX_VERTICES + 1):
+        pairs = list(combinations(range(n), 2))
+        for _ in range(20):
+            density = rng.random()
+            g = from_edges(n, [e for e in pairs if rng.random() < density])
+            line = to_graph6(g)
+            parsed = parse_graph6(line)
+            assert (parsed.n, parsed.adj) == bitwise_graph6_rows(line)
+            assert parsed == g and hash(parsed) == hash(g)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "",
+        "B",
+        "Bww",
+        "B6",
+        "~??",
+        "A@",
+        "Gé~~~{",  # non-ASCII byte
+        "G~~~~" + chr(127),  # DEL, one past the last graph6 byte
+        "G~~~~}",  # final byte with a padding bit set
+        "G~~~~>",  # final byte below 63
+        "B" + chr(127),
+        "a" + "?" * 83,  # n = 34
+        ">>graph6<<",
+    ],
+)
+def test_rejections_match_the_bitwise_decoder(line):
+    with pytest.raises(ValueError) as expected:
+        bitwise_graph6_rows(line)
+    with pytest.raises(ValueError) as got:
+        parse_graph6(line)
+    assert str(got.value) == str(expected.value)

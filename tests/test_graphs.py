@@ -30,6 +30,7 @@ from rck.graphs import (
     mask_has_clique,
     path_graph,
     remove_edge,
+    unchecked_graph,
 )
 
 
@@ -44,6 +45,23 @@ def test_graph_validation():
         Graph(2, (1, 2))  # self loop at 1
     with pytest.raises(ValueError):
         Graph(2, (4, 0))  # neighbor out of range
+
+
+@settings(max_examples=100)
+@given(small_graphs(max_n=12))
+def test_unchecked_graph_equals_the_validated_one(g):
+    h = unchecked_graph(g.n, g.adj)
+    assert h == g and hash(h) == hash(g)
+    assert h.edges == g.edges and h.edge_count == g.edge_count
+    assert h.edges is h.edges  # cached after the first access
+
+
+@settings(max_examples=200)
+@given(small_graphs(max_n=12))
+def test_edges_and_non_edges_match_the_pairwise_definition(g):
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    assert g.edges == tuple(e for e in pairs if g.adj[e[0]] >> e[1] & 1)
+    assert g.non_edges() == [e for e in pairs if not g.adj[e[0]] >> e[1] & 1]
 
 
 def test_add_edge_completes_path_to_triangle():
