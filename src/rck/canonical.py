@@ -19,17 +19,6 @@ CANONICAL_MAX_VERTICES = 12
 _HIGH = 1 << 40  # sentinel larger than any column value
 
 
-def _ranks(keys: list) -> list[int]:
-    """Dense rank of each key among the distinct keys, smallest first."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranks = [0] * len(keys)
-    rank = 0
-    for prev, v in zip(order, order[1:]):
-        rank += keys[v] != keys[prev]
-        ranks[v] = rank
-    return ranks
-
-
 def refinement_classes(g: Graph) -> list[int]:
     """Stable per-vertex class ids from iterated degree refinement.
 
@@ -37,27 +26,49 @@ def refinement_classes(g: Graph) -> list[int]:
     relabeling: isomorphic vertices always receive the same id.  Start from
     the degree ranks; a round ranks each vertex by its class, then by its
     neighbour count in each class, more neighbours in a lower class first,
-    and stops when no class splits.
+    and stops when no class splits.  A round's signature is packed into one
+    int of fixed-width fields, the class highest and then n minus each
+    count, so integer order is that lexicographic order.  A vertex alone in
+    its class cannot split, so its key is its class field alone.
     """
-    colors = _ranks([a.bit_count() for a in g.adj])
+    n = g.n
+    adj = g.adj
+    degrees = [a.bit_count() for a in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    colors = [rank[d] for d in degrees]
+    width = n.bit_length()  # every field value lies in 0..n
     while True:
-        classes = [0] * (max(colors) + 1)
-        if len(classes) == g.n:
+        k = len(rank)
+        if k == n:
             return colors
+        classes = [0] * k
         for v, c in enumerate(colors):
             classes[c] |= 1 << v
-        new = _ranks([(c, [-(a & m).bit_count() for m in classes]) for c, a in zip(colors, g.adj)])
-        if new == colors:
+        shift = width * k
+        keys = []
+        for c, a in zip(colors, adj):
+            key = c
+            if classes[c] & (classes[c] - 1):
+                for m in classes:
+                    key = key << width | n - (a & m).bit_count()
+            else:
+                key <<= shift
+            keys.append(key)
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        if len(rank) == k:
             return colors
-        colors = new
+        colors = [rank[key] for key in keys]
 
 
-def _search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+def _search(
+    g: Graph, *, classes: list[int] | None = None
+) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     """(columns, vertices, automorphisms) of the canonical relabeling.
 
     columns[j] is the adjacency column of position j+1 against positions
     0..j, first row in the most significant bit (graph6 bit order), and
-    vertices[i] is the vertex at position i.
+    vertices[i] is the vertex at position i.  classes, when given, must be
+    refinement_classes(g).
     """
     if g.n > CANONICAL_MAX_VERTICES:
         raise ValueError(
@@ -65,7 +76,10 @@ def _search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
         )
     n = g.n
     adj = g.adj
-    colors = refinement_classes(g)
+    colors = refinement_classes(g) if classes is None else classes
+    members: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        members[c].append(v)
     # Swapping twins is an automorphism, so each level tries one vertex of
     # each twin class; twin[v] names v's class.  A tied leaf maps the vertex
     # at each position of the best leaf to the one at that position here.
@@ -83,8 +97,9 @@ def _search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     best_perm: list[int] | None = None
     orbit = list(range(n))  # vertex -> orbit id under the automorphisms found
 
-    def place(p: int, cols: list[int]) -> None:
-        # cols[v] is v's adjacency to positions 0..p-1, position 0 highest.
+    def place(p: int, cols: list[int], placed: int) -> None:
+        # cols[v] is v's adjacency to positions 0..p-1, position 0 highest;
+        # placed is the mask of the vertices at those positions.
         nonlocal best_perm
         if p == n:
             if best_perm is None:
@@ -99,16 +114,36 @@ def _search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
                     orbit[:] = [keep if o == drop else o for o in orbit]
                 automorphisms.append(tuple(image))
             return
-        want = required[p]
-        scored = sorted((cols[v], v) for v in range(n) if colors[v] == want and v not in perm)
+        cand = [v for v in members[required[p]] if not placed >> v & 1]
+        if len(cand) == 1:
+            # The last free vertex of its class: no order, twin or orbit
+            # to consult, only the bound on this position's column.
+            v = cand[0]
+            if p > 0:
+                col = cols[v]
+                slot = best[p - 1]
+                if col > slot:
+                    return
+                if col < slot:
+                    best[p - 1] = col
+                    for j in range(p, n - 1):
+                        best[j] = _HIGH
+                    best_perm = None
+            perm.append(v)
+            place(p + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)], placed | 1 << v)
+            perm.pop()
+            return
+        # Stable, so ties keep vertex order: the order of (col, v).
+        cand.sort(key=cols.__getitem__)
         tried = 0  # twin classes tried at this level, as a mask
         tried_roots: list[int] = []
-        for col, v in scored:
+        for v in cand:
             if p == 0 and any(orbit[v] == orbit[u] for u in tried_roots):
                 continue
             if tried >> twin[v] & 1:
                 continue
             if p > 0:
+                col = cols[v]
                 slot = best[p - 1]
                 if col > slot:
                     break  # candidates are sorted; the rest are worse
@@ -121,10 +156,10 @@ def _search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
             if p == 0:
                 tried_roots.append(v)
             perm.append(v)
-            place(p + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)])
+            place(p + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)], placed | 1 << v)
             perm.pop()
 
-    place(0, [0] * n)
+    place(0, [0] * n, 0)
     assert best_perm is not None
     return best, best_perm, automorphisms
 
@@ -141,10 +176,11 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return _search(g)[2]
 
 
-def canonical_form(g: Graph) -> str:
+def canonical_form(g: Graph, *, classes: list[int] | None = None) -> str:
     """Canonical graph6 string: equal iff the graphs are isomorphic.  It is
-    packed from the search's winning columns."""
+    packed from the search's winning columns.  classes, when given, must be
+    refinement_classes(g); a caller that has refined g already passes it."""
     word = 0
-    for j, col in enumerate(_search(g)[0]):
+    for j, col in enumerate(_search(g, classes=classes)[0]):
         word = word << (j + 1) | col
     return pack_graph6(g.n, word)

@@ -23,7 +23,7 @@ from .arrowing import (
 from .canonical import CANONICAL_MAX_VERTICES, canonical_form
 from .cocritical import graph_facts, is_cocritical, is_minimal_cocritical, lemma_suite
 from .constructions import construction_by_name, sharp_mindeg_bound
-from .graph6 import parse_graph6, to_graph6
+from .graph6 import HEADER, parse_graph6, to_graph6
 from .graphs import Graph, degree_stats
 from .saturation import is_saturated
 
@@ -107,19 +107,21 @@ def load_inputs(cfg: argparse.Namespace):
             stream.close()
 
 
-def _parse_line(text: str) -> Graph:
+def _parse_line(text: str) -> tuple[Graph, str]:
+    """The graph of an input line and its graph6 string.  Parsing is strict,
+    so the line without its header is the graph's only encoding."""
     try:
-        return parse_graph6(text)
+        return parse_graph6(text), text.removeprefix(HEADER)
     except ValueError as exc:
         raise InputError(f"bad graph6 line {text!r}: {exc}")
 
 
-def _record_base(g: Graph, spec: CliqueVector, facts) -> dict:
+def _record_base(g: Graph, g6: str, spec: CliqueVector, facts) -> dict:
     """The fields every arrow and cocritical record starts with; facts is
     the (delta, chi, ht_bound) triple of cocritical.graph_facts."""
     delta, chi, ht = facts
     return {
-        "g6": to_graph6(g),
+        "g6": g6,
         "spec": list(spec.sizes),
         "verdict": None,
         "delta": delta,
@@ -182,9 +184,9 @@ def _stream_records(cfg: argparse.Namespace, record) -> list:
 
 
 def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
-    g = _parse_line(line)
+    g, g6 = _parse_line(line)
     verdict = arrows(g, cfg.spec)
-    record = _record_base(g, cfg.spec, graph_facts(g, cfg.spec))
+    record = _record_base(g, g6, cfg.spec, graph_facts(g, cfg.spec))
     record["verdict"] = verdict.arrows
     record["stats"] = asdict(verdict.stats)
     if verdict.witness is not None:
@@ -194,10 +196,10 @@ def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
 
 
 def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
-    g = _parse_line(line)
+    g, g6 = _parse_line(line)
     spec = cfg.spec
     report = is_cocritical(g, spec)
-    record = _record_base(g, spec, (report.delta, report.chi, report.ht_bound))
+    record = _record_base(g, g6, spec, (report.delta, report.chi, report.ht_bound))
     record["verdict"] = report.is_cocritical
     record["failing_edge"] = list(report.failing_edge) if report.failing_edge else None
     record["meets_ht"] = report.meets_ht
@@ -221,7 +223,7 @@ def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
 
 
 def _scan_graph(cfg: argparse.Namespace, line: str):
-    g = _parse_line(line)
+    g, _ = _parse_line(line)
     # A co-critical graph's record needs its canonical form, so check the
     # size before the search rather than fail only on some verdicts.
     if g.n > CANONICAL_MAX_VERTICES:
@@ -291,10 +293,10 @@ def cmd_scan(cfg: argparse.Namespace, out) -> int:
 
 
 def _saturated_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
-    g = _parse_line(line)
+    g, g6 = _parse_line(line)
     report = is_saturated(g, cfg.t)
     record = {
-        "g6": to_graph6(g),
+        "g6": g6,
         "t": cfg.t,
         "verdict": {
             "is_free": report.is_free,

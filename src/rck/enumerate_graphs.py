@@ -1,15 +1,16 @@
 """Exhaustive enumeration of non-isomorphic graphs on up to 12 vertices.
 
 Graphs on n vertices are produced by attaching a new vertex to every graph
-on n-1 vertices, but only so that the new vertex has minimum degree in the
-result, and deduplicating by canonical form.  The counts match the
-published numbers of non-isomorphic simple graphs (1, 2, 4, 11, 34, 156,
-1044, 12346 for n = 1..8), which the test suite asserts.
+on n-1 vertices, but only so that the new vertex has minimum degree and
+lies in refinement class 0 in the result (a weak form of McKay's canonical
+deletion, J. Algorithms 26, 1998), and deduplicating by canonical form.
+The counts match the published numbers of non-isomorphic simple graphs (1,
+2, 4, 11, 34, 156, 1044, 12346 for n = 1..8), which the test suite asserts.
 """
 
 from __future__ import annotations
 
-from .canonical import automorphism_generators, canonical_form
+from .canonical import automorphism_generators, canonical_form, refinement_classes
 from .graph6 import parse_graph6
 from .graphs import Graph, bits, degree_stats, unchecked_graph
 
@@ -36,6 +37,16 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
     to an isomorphism from g + N(mask) to g + N(sigma(mask)) that fixes the
     new vertex: the skipped masks give no new class.  Generators of any
     subgroup of Aut(g) suffice.
+
+    Of the children left, only those whose new vertex lies in refinement
+    class 0 are canonicalised.  Class ids are ranks of relabeling-invariant
+    signatures, and every refinement round ranks by the previous class
+    first, so class 0 holds only vertices of minimum degree.  Every graph H
+    has some vertex w in class 0; H - w is isomorphic to some g on the
+    previous level, and the orbit representative of the image of N(w)
+    gives a child isomorphic to H, by an isomorphism taking w to the new
+    vertex, so the new vertex has class 0 there too.  No class is lost, and
+    the refinement computed for the filter is handed to canonical_form.
 
     Each level is decoded once, when complete, from its sorted canonical
     graph6 strings, so its order is a deterministic function of the vertex
@@ -65,6 +76,9 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
                             orbit.append(y)
                 adj = [g.adj[v] | ((mask >> v & 1) << (size - 1)) for v in range(size - 1)]
                 adj.append(mask)
-                forms.add(canonical_form(unchecked_graph(size, tuple(adj))))
+                child = unchecked_graph(size, tuple(adj))
+                classes = refinement_classes(child)
+                if classes[-1] == 0:
+                    forms.add(canonical_form(child, classes=classes))
         levels[size] = [parse_graph6(form) for form in sorted(forms)]
     return levels

@@ -129,3 +129,50 @@ def test_generators_are_automorphisms(g):
         for sigma in generators:
             assert sorted(sigma) == list(range(h.n))
             assert relabel(h, sigma) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(min_n=1, max_n=12))
+def test_class_zero_holds_only_minimum_degree_vertices(g):
+    # graphs_up_to canonicalises a child only when its new vertex is in
+    # class 0, which is sound only if class 0 lies within minimum degree.
+    delta = min(a.bit_count() for a in g.adj)
+    classes = refinement_classes(g)
+    assert 0 in classes
+    assert all(g.adj[v].bit_count() == delta for v, c in enumerate(classes) if c == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(min_n=1, max_n=12), st.randoms(use_true_random=False))
+def test_class_ids_move_with_a_relabeling(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    moved = refinement_classes(relabel(g, perm))
+    classes = refinement_classes(g)
+    assert all(moved[perm[v]] == classes[v] for v in range(g.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(min_n=1, max_n=12))
+def test_form_from_given_classes_is_the_form(g):
+    assert canonical_form(g, classes=refinement_classes(g)) == canonical_form(g)
+
+
+def test_packed_refinement_keys_match_reference_past_twelve_vertices():
+    # Near-complete graphs on 17..32 vertices give a vertex 16 or more
+    # neighbours of its own degree, so the first keyed round counts 16 or
+    # more neighbours in one class: more than a 4-bit key field holds.
+    rng = random.Random(1998)
+    graphs = []
+    for i in range(40):
+        n = rng.randint(13, 16) if i < 8 else rng.randint(17, 32)
+        density = rng.random() if n < 17 else rng.choice([0.6, 0.75, 0.9, 0.97, 0.99, 1.0])
+        graphs.append(from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < density]))
+
+    def same_degree_neighbours(g, v):
+        d = g.adj[v].bit_count()
+        return sum(g.adj[u].bit_count() == d for u in range(g.n) if g.adj[v] >> u & 1)
+
+    assert any(same_degree_neighbours(g, v) >= 16 for g in graphs for v in range(g.n))
+    for g in graphs:
+        assert refinement_classes(g) == sorted_tuple_refinement(g)

@@ -345,6 +345,19 @@ class TestWorkerDispatch:
         assert len(records(runs[0][1])) == len(graphs)
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command",
+        [["saturated", "--t", "4"], ["cocritical", "--spec", "3,3"], ["arrow", "--spec", "3,3"]],
+        ids=lambda command: command[0],
+    )
+    def test_record_g6_is_the_line_without_its_header(self, command, workers):
+        lines = [to_graph6(g) for g in (cycle_graph(5), complete_graph(4), empty_graph(3))]
+        stream = "".join(f">>graph6<<{line}\n" for line in lines)
+        code, out = invoke(command + ["--workers", workers], stdin_text=stream)
+        assert code == EXIT_OK
+        assert [rec["g6"] for rec in records(out)] == lines
+
 
 SATURATED = ["saturated", "--t", "3", "--construct", "kn:3"]
 COMMANDS = [

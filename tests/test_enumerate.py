@@ -79,19 +79,20 @@ def test_orbit_pruning_loses_no_class(corpus):
 
 def test_augmentation_canonicalises_only_minimum_degree_extensions(monkeypatch):
     # Up to n=7, extending by every mask would make 11,290 calls, every
-    # mask that gives the new vertex minimum degree 3,131, and one such
-    # mask per orbit under the automorphisms the canonical search finds
-    # 1,639.
+    # mask that gives the new vertex minimum degree 3,131, one such mask
+    # per orbit under the automorphisms the canonical search finds 1,639,
+    # and only those orbit representatives whose new vertex lies in
+    # refinement class 0 1,253.
     calls = 0
 
-    def counting(g):
+    def counting(g, *, classes=None):
         nonlocal calls
         calls += 1
-        return canonical_form(g)
+        return canonical_form(g, classes=classes)
 
     monkeypatch.setattr("rck.enumerate_graphs.canonical_form", counting)
     graphs_up_to(7)
-    assert calls == 1639
+    assert calls == 1253
 
 
 def test_each_level_is_decoded_once(monkeypatch):
