@@ -109,10 +109,6 @@ class EdgeColoring:
         if any(not 1 <= c <= self.k for c in self.colors):
             raise ValueError(f"colors must lie in 1..{self.k}")
 
-    def color_class(self, ell: int) -> Graph:
-        """Spanning subgraph whose edges are exactly those of color ell."""
-        return Graph(self.host.n, self.class_adj(ell))
-
     def class_size(self, ell: int) -> int:
         return sum(1 for c in self.colors if c == ell)
 
@@ -489,13 +485,14 @@ def serialize_coloring(coloring: EdgeColoring) -> str:
 
 
 def parse_coloring(text: str, k: int) -> EdgeColoring:
-    """The k-coloring serialize_coloring wrote; the text does not record k."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) != 2:
+    """The k-coloring serialize_coloring wrote; the text does not record k.
+    An edgeless host has an empty color word, so its second line is empty."""
+    lines = text.split("\n")
+    if len(lines) != 3 or lines[2]:
         raise ValueError("expected a graph6 line followed by a color line")
     host = parse_graph6(lines[0])
-    digits = lines[1].strip()
-    if len(digits) != host.edge_count:
-        raise ValueError("color word length does not match the edge count")
+    digits = lines[1]
+    if digits.strip("0123456789") or len(digits) != host.edge_count:
+        raise ValueError("the color word needs one ASCII digit per edge")
     colors = tuple(int(ch) for ch in digits)
     return EdgeColoring(host, colors, k)

@@ -164,11 +164,6 @@ def _search(
     return best, best_perm, automorphisms
 
 
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Relabeling (old vertex -> new label) realizing the canonical form."""
-    return tuple(sorted(range(g.n), key=_search(g)[1].__getitem__))
-
-
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Automorphisms of g (sigma[v] is the image of v): the twin swaps and
     one per tied leaf of the canonical search.  They generate a subgroup of

@@ -140,18 +140,16 @@ def _worse_exit(a: int, b: int) -> int:
     return a if order.get(a, 0) >= order.get(b, 0) else b
 
 
-def ordered_map(fn, jobs: list, workers: int):
+def ordered_map(fn, jobs: list, workers: int) -> list:
     """fn over jobs, with the results in input order.
 
-    With fewer than two workers or two jobs this is the lazy built-in map,
-    so a caller can stop at any result.  Otherwise a process pool runs the
-    jobs in about eight chunks per worker, enough to balance uneven jobs
-    while keeping the per-chunk hand-over rare, and every result is ready
-    on return.  A job that raises stops the map and cancels the chunks not
-    yet started.
+    With fewer than two workers or two jobs the jobs run inline.  Otherwise
+    a process pool runs them in about eight chunks per worker, enough to
+    balance uneven jobs while keeping the per-chunk hand-over rare.  A job
+    that raises stops the map and cancels the chunks not yet started.
     """
     if workers < 2 or len(jobs) < 2:
-        return map(fn, jobs)
+        return list(map(fn, jobs))
     # Imported here because it loads multiprocessing, which a run with one
     # worker never uses, and that import is a large share of start-up.
     from concurrent.futures import ProcessPoolExecutor
@@ -180,7 +178,7 @@ def _stream_records(cfg: argparse.Namespace, record) -> list:
     fn = partial(record, cfg)
     if cfg.budget is not None:
         fn = partial(_within_budget, fn, cfg.budget)
-    return list(ordered_map(fn, list(load_inputs(cfg)), cfg.workers))
+    return ordered_map(fn, list(load_inputs(cfg)), cfg.workers)
 
 
 def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:

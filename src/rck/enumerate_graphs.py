@@ -10,11 +10,14 @@ The counts match the published numbers of non-isomorphic simple graphs (1,
 
 from __future__ import annotations
 
-from .canonical import automorphism_generators, canonical_form, refinement_classes
+from .canonical import (
+    CANONICAL_MAX_VERTICES,
+    automorphism_generators,
+    canonical_form,
+    refinement_classes,
+)
 from .graph6 import parse_graph6
 from .graphs import Graph, bits, degree_stats, unchecked_graph
-
-KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def graphs_up_to(n: int) -> dict[int, list[Graph]]:
@@ -52,8 +55,8 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
     graph6 strings, so its order is a deterministic function of the vertex
     count alone.
     """
-    if not 1 <= n <= 12:
-        raise ValueError("enumeration supports 1..12 vertices")
+    if not 1 <= n <= CANONICAL_MAX_VERTICES:
+        raise ValueError(f"enumeration supports 1..{CANONICAL_MAX_VERTICES} vertices")
     levels = {1: [Graph(1, (0,))]}
     for size in range(2, n + 1):
         forms: set[str] = set()

@@ -13,9 +13,8 @@ from functools import cached_property, reduce
 MAX_VERTICES = 32
 CHROMATIC_MAX_VERTICES = 16
 
-# An edge is a pair (u, v) with u < v; a vertex set is a bit mask.
+# An edge is a pair (u, v) with u < v.
 Edge = tuple[int, int]
-VertexSet = int
 
 
 def bits(mask: int):
@@ -131,16 +130,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
-def path_graph(n: int) -> Graph:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def complete_multipartite_graph(parts) -> Graph:
     """Complete multipartite graph with the given part sizes, parts in order."""
     parts = list(parts)
@@ -188,7 +177,7 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def induced_subgraph(g: Graph, within: VertexSet) -> Graph:
+def induced_subgraph(g: Graph, within: int) -> Graph:
     """Subgraph induced by the vertex mask, relabeled to 0..k-1 in mask order."""
     verts = list(bits(within & g.full_mask))
     if not verts:
@@ -351,17 +340,3 @@ def twin_pairs(g: Graph) -> list[tuple[int, int]]:
                 pairs.append((prev, v))
             last[key] = v
     return pairs
-
-
-def relabel(g: Graph, perm) -> Graph:
-    """Relabel g; perm[v] is the new label of vertex v."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm is not a permutation of the vertices")
-    adj = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for w in bits(g.adj[v]):
-            row |= 1 << perm[w]
-        adj[perm[v]] = row
-    return Graph(g.n, tuple(adj))

@@ -1,8 +1,11 @@
-"""Independent brute-force oracles used to freeze expected values.
+"""Independent brute-force oracles used to freeze expected values, and
+small graph fixtures.
 
-Everything here enumerates exhaustively (vertex subsets, label permutations,
-all k^m edge colorings) and never calls the search engine, so the oracles
-can check the engine without sharing code paths with it.
+The oracles enumerate exhaustively (vertex subsets, label permutations, all
+k^m edge colorings) and never call the search engine, so they can check the
+engine without sharing code paths with it.  The fixtures at the end build
+paths, cycles and relabelings; canonical_permutation reads the canonical
+search's vertex order, as the reference for the form's graph6 packing.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from rck.arrowing import CliqueVector
-from rck.graphs import Graph, add_edge
+from rck.canonical import _search
+from rck.graphs import Graph, add_edge, bits, from_edges
 
 
 def subsets_clique_number(g: Graph) -> int:
@@ -227,3 +231,28 @@ def bitwise_graph6_rows(line: str) -> tuple[int, tuple[int, ...]]:
                 adj[v] |= 1 << u
             bit >>= 1
     return n, tuple(adj)
+
+
+def path_graph(n: int) -> Graph:
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """g with vertex v renamed perm[v]."""
+    adj = [0] * g.n
+    for v in range(g.n):
+        adj[perm[v]] = sum(1 << perm[w] for w in bits(g.adj[v]))
+    return Graph(g.n, tuple(adj))
+
+
+def canonical_permutation(g: Graph) -> tuple[int, ...]:
+    """The relabeling (old vertex -> new label) that canonical_form spells:
+    the vertex the canonical search places at position i gets label i."""
+    perm = [0] * g.n
+    for i, v in enumerate(_search(g)[1]):
+        perm[v] = i
+    return tuple(perm)

@@ -12,6 +12,7 @@ from oracles import (
     brute_arrows,
     brute_extremal_class_size,
     completes_clique,
+    cycle_graph,
 )
 from rck.arrowing import (
     _Search,
@@ -28,11 +29,11 @@ from rck.arrowing import (
 from rck.cli import ordered_map
 from rck.constructions import hanson_toft
 from rck.graphs import (
+    Graph,
     add_edge,
     complement,
     complete_graph,
     complete_multipartite_graph,
-    cycle_graph,
     empty_graph,
     join,
     twin_pairs,
@@ -93,7 +94,7 @@ class TestIsCritical:
         coloring = c5_coloring_of_k5()
         assert coloring.class_adj(1) == cycle_graph(5).adj
         assert coloring.class_adj(2) == complement(cycle_graph(5)).adj
-        assert coloring.color_class(2) == complement(cycle_graph(5))
+        assert Graph(5, coloring.class_adj(2)) == complement(cycle_graph(5))
 
     def test_errors(self):
         k3 = complete_graph(3)
@@ -257,16 +258,12 @@ class TestNodeBudget:
 
 
 class TestOrderedMap:
-    def test_one_worker_is_lazy(self):
-        seen = []
-        results = ordered_map(seen.append, [1, 2, 3], 1)
-        assert seen == []
-        next(results)
-        assert seen == [1]
+    def test_one_worker_returns_a_list(self):
+        assert ordered_map(abs, [-1, 2, -3], 1) == [1, 2, 3]
 
     def test_pool_keeps_input_order(self):
         jobs = list(range(-40, 40, 3))
-        assert list(ordered_map(abs, jobs, 2)) == [abs(j) for j in jobs]
+        assert ordered_map(abs, jobs, 2) == [abs(j) for j in jobs]
 
 
 class TestSymmetryBreaking:
@@ -504,7 +501,7 @@ class TestExtremal:
         for g, spec, t in cases:
             coloring = extremal_critical_coloring(g, spec, spec.k, "max")
             assert coloring is not None
-            blue = coloring.color_class(spec.k)
+            blue = Graph(g.n, coloring.class_adj(spec.k))
             assert is_saturated(blue, t).is_saturated
 
     def test_bad_arguments(self):
@@ -538,3 +535,16 @@ class TestWitnessSerialization:
             parse_coloring("Bw\n12\n", k=2)  # wrong word length
         with pytest.raises(ValueError):
             parse_coloring("Bw\n", k=2)
+        with pytest.raises(ValueError):
+            parse_coloring("A_\n\uff12\n", k=2)  # a full-width 2, not an ASCII digit
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_parse_inverts_serialize(self, data):
+        # Edgeless hosts have an empty color word, so a blank second line.
+        hosts = st.one_of(st.integers(1, 8).map(empty_graph), small_graphs(max_n=8))
+        g = data.draw(hosts)
+        k = data.draw(st.integers(1, 4))
+        word = data.draw(st.lists(st.integers(1, k), min_size=g.edge_count, max_size=g.edge_count))
+        coloring = EdgeColoring(g, tuple(word), k)
+        assert parse_coloring(serialize_coloring(coloring), k) == coloring

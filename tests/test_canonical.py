@@ -6,12 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
-from oracles import permutation_isomorphic, sorted_tuple_refinement
+from oracles import (
+    canonical_permutation,
+    cycle_graph,
+    path_graph,
+    permutation_isomorphic,
+    relabel,
+    sorted_tuple_refinement,
+)
 from rck.arrowing import CliqueVector
 from rck.canonical import (
     automorphism_generators,
     canonical_form,
-    canonical_permutation,
     refinement_classes,
 )
 from rck.constructions import hanson_toft
@@ -19,11 +25,8 @@ from rck.graph6 import to_graph6
 from rck.graphs import (
     complete_graph,
     complete_multipartite_graph,
-    cycle_graph,
     empty_graph,
     from_edges,
-    path_graph,
-    relabel,
 )
 
 

@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
+from oracles import cycle_graph
 from rck.cli import EXIT_INDETERMINATE, EXIT_INPUT_ERROR, EXIT_OK, main, run
 from rck.constructions import k6_minus
 from rck.graph6 import parse_graph6, to_graph6
-from rck.graphs import complete_graph, cycle_graph, empty_graph
+from rck.graphs import complete_graph, empty_graph
 
 
 def invoke(argv, stdin_text=None):
@@ -48,6 +49,15 @@ class TestArrowCommand:
         assert rec["verdict"] is False
         coloring = parse_coloring(rec["witness"], k=2)
         assert to_graph6(coloring.host) == rec["g6"] == to_graph6(complete_graph(8))
+
+    def test_edgeless_witness_reads_back(self):
+        from rck.arrowing import parse_coloring
+
+        code, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:1"])
+        assert code == EXIT_OK
+        (rec,) = records(out)
+        assert rec["witness"] == "@\n\n"
+        assert parse_coloring(rec["witness"], k=2).host == complete_graph(1)
 
     def test_stream_witness_files_numbered_by_input_order(self):
         from rck.arrowing import parse_coloring

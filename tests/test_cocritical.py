@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_is_cocritical
+from oracles import brute_is_cocritical, cycle_graph
 from rck.arrowing import (
     CliqueVector,
     EdgeColoring,
@@ -25,7 +25,6 @@ from rck.graph6 import parse_graph6
 from rck.graphs import (
     add_edge,
     complete_graph,
-    cycle_graph,
     empty_graph,
     from_edges,
     join,

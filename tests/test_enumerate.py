@@ -6,18 +6,26 @@ from pathlib import Path
 import pytest
 
 from rck.canonical import canonical_form
-from rck.enumerate_graphs import KNOWN_COUNTS, graphs_up_to
+from rck.enumerate_graphs import graphs_up_to
 from rck.graph6 import parse_graph6, to_graph6
 from rck.graphs import Graph, degree_stats, from_edges
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS8 = ROOT / "perfbench" / "data" / "graphs8.g6"
+# Non-isomorphic simple graphs on n vertices (OEIS A000088).
+KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def test_counts_match_published_values_small():
     levels = graphs_up_to(6)
     for n in range(1, 7):
         assert len(levels[n]) == KNOWN_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [0, 13])
+def test_vertex_counts_outside_the_canonical_cap_are_refused(n):
+    with pytest.raises(ValueError):
+        graphs_up_to(n)
 
 
 def test_level_lists_are_canonical_and_sorted():

@@ -6,6 +6,8 @@ from conftest import small_graphs
 from oracles import (
     assignments_chromatic_number,
     complement_clique_components,
+    cycle_graph,
+    path_graph,
     subsets_clique_number,
     subsets_independence_number,
 )
@@ -17,7 +19,6 @@ from rck.graphs import (
     complement,
     complete_graph,
     complete_multipartite_graph,
-    cycle_graph,
     degree_stats,
     delete_vertex,
     empty_graph,
@@ -28,7 +29,6 @@ from rck.graphs import (
     is_complete_multipartite,
     join,
     mask_has_clique,
-    path_graph,
     remove_edge,
     unchecked_graph,
 )

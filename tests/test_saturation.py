@@ -3,11 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
-from oracles import brute_is_saturated
+from oracles import brute_is_saturated, cycle_graph
 from rck.graphs import (
     add_edge,
     complete_graph,
-    cycle_graph,
     degree_stats,
     empty_graph,
     from_edges,
