@@ -10,7 +10,6 @@ verified critical coloring as witness.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,36 +24,39 @@ class NodeLimitExceeded(Exception):
     """Raised when the searches of a node_budget block pass its limit."""
 
 
-class _Budget:
-    """The nodes left to a node_budget block.  Its latest search is charged
-    when the next one starts, so tick() counts that search's nodes only."""
-
-    def __init__(self, limit: int):
-        self.left, self.last = limit, None
-
-    def start(self, search) -> int:
-        if self.last is not None:
-            self.left -= self.last.nodes
-        self.last = search
-        return self.left
-
-
-_budget: ContextVar[_Budget | None] = ContextVar("node_budget", default=None)
-
-
-@contextmanager
-def node_budget(limit: int | None):
-    """Charge every search started inside the block to one node count.
+class node_budget:
+    """A block that charges every search started inside it to one node count.
 
     A search raises NodeLimitExceeded once the count passes limit, and each
     later one at its first node; None means no limit.  The innermost block
-    governs, as with decimal.localcontext.
+    governs, as with decimal.localcontext.  The block is its own ledger:
+    nodes counts every node charged, the one past the limit included.  Its
+    latest search is charged when the next one starts, so tick() counts
+    that search's nodes only.
     """
-    token = _budget.set(None if limit is None else _Budget(limit))
-    try:
-        yield
-    finally:
-        _budget.reset(token)
+
+    def __init__(self, limit: int | None):
+        self.limit, self.spent, self.last = limit, 0, None
+
+    def __enter__(self) -> "node_budget":
+        self.token = _budget.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _budget.reset(self.token)
+
+    def start(self, search) -> int | None:
+        self.spent = self.nodes
+        self.last = search
+        return None if self.limit is None else self.limit - self.spent
+
+    @property
+    def nodes(self) -> int:
+        """Every node charged so far, the running search's included."""
+        return self.spent + (0 if self.last is None else self.last.nodes)
+
+
+_budget: ContextVar[node_budget | None] = ContextVar("node_budget", default=None)
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,7 @@ def is_critical(g: Graph, coloring: EdgeColoring, spec: CliqueVector) -> bool:
 
 # dom[i] holds bit ell for each color ell that edge i can still take.  A
 # colored edge holds _COLORED (bit 0 names no color), so it never counts as
-# a feasible or forced edge and never wins select().  Every mask is below
-# 2 << MAX_COLORS = 32, which the trail entries (j << 5 | mask) rely on.
+# a feasible or forced edge and never wins select().
 _COLORED = 1
 _DOMAIN_SIZE = [d.bit_count() for d in range(2 << MAX_COLORS)]
 _DOMAIN_SIZE[_COLORED] = MAX_COLORS + 1
@@ -180,7 +181,10 @@ class _Search:
     monochromatic target clique (forward checking, Haralick & Elliott 1980).
     assign() removes the assigned color from the masks of the edges it newly
     blocks and reports a wipe-out, an uncolored edge left with an empty
-    mask; unassign() restores the masks from a trail.
+    mask.  unassign() reverts only the edge's color, its color-class bits
+    and the uncolored count.  The root and each node with two or more
+    children copy the masks before branching and restore them after each
+    child; a node with one child leaves that to its nearest such ancestor.
 
     color_seed restricts edge 0 to the least color of each group of equal
     targets.  Colors with equal targets are interchangeable, so if any
@@ -200,8 +204,7 @@ class _Search:
 
     __slots__ = (
         "n", "edges", "m", "k", "targets", "adjc", "colors", "uncolored",
-        "nodes", "max_depth", "limit", "dom", "eid", "hadj", "trail",
-        "marks", "lex",
+        "nodes", "max_depth", "limit", "dom", "eid", "hadj", "lex",
     )
 
     def __init__(self, g, spec, *, color_seed=False, twins=False):
@@ -232,8 +235,6 @@ class _Search:
         self.dom = [full] * self.m
         if color_seed and self.m:
             self.dom[0] &= least
-        self.trail: list[int] = []
-        self.marks: list[int] = []
         # lex[i] lists, for each twin swap that moves edge i, the moved edge
         # pairs (ax, bx) by increasing x.  Both edges of a pair sort by their
         # other endpoint x, so the pairs are in edge order.
@@ -283,7 +284,6 @@ class _Search:
             j = row[y]
             d = dom[j]
             if d & bit and (need <= 0 or mask_has_clique(a, within & a[y], need)):
-                self.trail.append(j << 5 | d)
                 dom[j] = d ^ bit
                 if d == bit:
                     wiped = True
@@ -299,10 +299,7 @@ class _Search:
         on edge i is checked.
         """
         u, v = self.edges[i]
-        dom = self.dom
-        self.marks.append(len(self.trail))
-        self.trail.append(i << 5 | dom[i])
-        dom[i] = _COLORED
+        self.dom[i] = _COLORED
         self.colors[i] = ell
         self.uncolored -= 1
         a = self.adjc[ell]
@@ -346,7 +343,7 @@ class _Search:
         return False
 
     def unassign(self, i: int) -> None:
-        """Undo the latest assign(), which must have colored edge i."""
+        """Uncolor edge i; the caller restores the masks."""
         ell = self.colors[i]
         u, v = self.edges[i]
         self.colors[i] = 0
@@ -354,12 +351,6 @@ class _Search:
         a = self.adjc[ell]
         a[u] &= ~(1 << v)
         a[v] &= ~(1 << u)
-        mark = self.marks.pop()
-        trail = self.trail
-        dom = self.dom
-        for e in trail[mark:]:
-            dom[e >> 5] = e & 31
-        del trail[mark:]
 
     def tick(self) -> None:
         self.nodes += 1
@@ -379,9 +370,14 @@ class _Search:
         if self.uncolored == 0:
             return tuple(self.colors)
         i = self.select()
-        for ell in _DOMAIN_COLORS[self.dom[i]]:
+        dom = self.dom
+        colors = _DOMAIN_COLORS[dom[i]]
+        saved = dom[:] if len(colors) > 1 or self.uncolored == self.m else None
+        for ell in colors:
             word = None if self.assign(i, ell) else self.decide()
             self.unassign(i)
+            if saved is not None:
+                dom[:] = saved
             if word is not None:
                 return word
         return None
@@ -419,11 +415,14 @@ class _Search:
                 return
             i = self.select()
             d = dom[i]
+            saved = dom[:] if _DOMAIN_SIZE[d] > 1 or self.uncolored == self.m else None
             for ell in order:
                 if d >> ell & 1:
                     if not self.assign(i, ell):
                         explore(count + (ell == color))
                     self.unassign(i)
+                    if saved is not None:
+                        dom[:] = saved
 
         explore(0)
         return best_word

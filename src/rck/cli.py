@@ -162,26 +162,25 @@ def ordered_map(fn, jobs: list, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _within_budget(fn, limit: int, line: str):
-    with node_budget(limit):
-        return fn(line)
+def _in_block(record, cfg: argparse.Namespace, line: str):
+    with node_budget(cfg.budget) as ledger:
+        return record(cfg, line, ledger)
 
 
 def _stream_records(cfg: argparse.Namespace, record) -> list:
-    """record(cfg, line) per input line, in input order.
+    """record(cfg, line, ledger) per input line, in input order.
 
-    Each record runs in its own node_budget block of --node-limit nodes.  The
+    Each record runs in its own node_budget block of --node-limit nodes and
+    gets the block as its ledger; only cocritical records read it.  The
     workers form one ordered pool across the input graphs, so the records do
     not depend on their number.  A record that raises (a bad input line)
     stops the run before any record is emitted.
     """
-    fn = partial(record, cfg)
-    if cfg.budget is not None:
-        fn = partial(_within_budget, fn, cfg.budget)
+    fn = partial(_in_block, record, cfg)
     return ordered_map(fn, list(load_inputs(cfg)), cfg.workers)
 
 
-def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
+def _arrow_record(cfg: argparse.Namespace, line: str, _ledger) -> tuple[dict, int]:
     g, g6 = _parse_line(line)
     verdict = arrows(g, cfg.spec)
     record = _record_base(g, g6, cfg.spec, graph_facts(g, cfg.spec))
@@ -193,7 +192,7 @@ def _arrow_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
     return record, code
 
 
-def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
+def _cocritical_record(cfg: argparse.Namespace, line: str, ledger) -> tuple[dict, int]:
     g, g6 = _parse_line(line)
     spec = cfg.spec
     report = is_cocritical(g, spec)
@@ -202,7 +201,6 @@ def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
     record["failing_edge"] = list(report.failing_edge) if report.failing_edge else None
     record["meets_ht"] = report.meets_ht
     record["minimal"] = None
-    record["stats"] = {"nodes": report.nodes}
     if report.base_witness is not None:
         record["witness"] = serialize_coloring(report.base_witness)
     code = EXIT_INDETERMINATE if report.is_cocritical is None else EXIT_OK
@@ -217,10 +215,11 @@ def _cocritical_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
                     code = EXIT_ASSERTION_FAILED
         except NodeLimitExceeded:
             code = EXIT_INDETERMINATE
+    record["stats"] = {"nodes": ledger.nodes}
     return record, code
 
 
-def _scan_graph(cfg: argparse.Namespace, line: str):
+def _scan_graph(cfg: argparse.Namespace, line: str, _ledger):
     g, _ = _parse_line(line)
     # A co-critical graph's record needs its canonical form, so check the
     # size before the search rather than fail only on some verdicts.
@@ -290,7 +289,7 @@ def cmd_scan(cfg: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def _saturated_record(cfg: argparse.Namespace, line: str) -> tuple[dict, int]:
+def _saturated_record(cfg: argparse.Namespace, line: str, _ledger) -> tuple[dict, int]:
     g, g6 = _parse_line(line)
     report = is_saturated(g, cfg.t)
     record = {
@@ -319,9 +318,9 @@ RECORDS = {
 }
 
 
-def _record_line(record, cfg: argparse.Namespace, line: str) -> tuple[str, int]:
-    """record(cfg, line) as its output line, so a pool worker serialises it."""
-    fields, code = record(cfg, line)
+def _record_line(record, cfg: argparse.Namespace, line: str, ledger) -> tuple[str, int]:
+    """The record's output line, so a pool worker serialises it."""
+    fields, code = record(cfg, line, ledger)
     return json.dumps(fields) + "\n", code
 
 

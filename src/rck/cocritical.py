@@ -47,7 +47,8 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class CocriticalReport:
-    """Per-graph verdict bundle; is_cocritical None means budget ran out."""
+    """Per-graph verdict bundle; is_cocritical None means budget ran out.
+    nodes counts the verdict's searches only, not a later lemma suite."""
 
     is_cocritical: bool | None
     failing_edge: Edge | None

@@ -28,6 +28,7 @@ from rck.arrowing import (
 )
 from rck.cli import ordered_map
 from rck.constructions import hanson_toft
+from rck.graph6 import to_graph6
 from rck.graphs import (
     Graph,
     add_edge,
@@ -235,6 +236,19 @@ class TestNodeBudget:
         assert second.arrows is None and second.stats.nodes == 39
         assert third.arrows is None and third.stats.nodes == 1
 
+    def test_ledger_counts_every_node_of_the_block(self):
+        g = complete_graph(8)
+        with node_budget(None) as ledger:
+            assert ledger.nodes == 0
+            arrows(g, S34)
+            arrows(g, S34)
+            assert ledger.nodes == 78
+        # 39, then 39 with the node that passed the limit, then 1.
+        with node_budget(77) as ledger:
+            for _ in range(3):
+                arrows(g, S34)
+        assert ledger.nodes == 79
+
     def test_innermost_block_governs_and_none_sets_no_limit(self):
         g = complete_graph(8)
         with node_budget(38):
@@ -380,7 +394,15 @@ class TestSearchCore:
         s = _Search(g, spec, color_seed=True)
         initial = _search_state(s)
         self.assert_masks_exact(s)
-        stack: list[int] = []
+        # Each assign() is undone by unassign() and the masks copied before
+        # it; the next test checks the copies the searches themselves restore.
+        stack: list[tuple[int, list[int]]] = []
+
+        def undo():
+            i, saved = stack.pop()
+            s.unassign(i)
+            s.dom[:] = saved
+
         for _ in range(data.draw(st.integers(0, 60))):
             open_edges = [i for i in range(s.m) if not s.colors[i] and s.dom[i]]
             if open_edges and (not stack or data.draw(st.integers(0, 3))):
@@ -389,16 +411,32 @@ class TestSearchCore:
                     st.sampled_from([c for c in range(1, s.k + 1) if s.dom[i] >> c & 1])
                 )
                 empty = {j for j in range(s.m) if not s.colors[j] and not s.dom[j]}
+                stack.append((i, s.dom[:]))
                 wiped = s.assign(i, ell)
-                stack.append(i)
                 now = {j for j in range(s.m) if not s.colors[j] and not s.dom[j]}
                 assert wiped == bool(now - empty)
             elif stack:
-                s.unassign(stack.pop())
+                undo()
             self.assert_masks_exact(s)
         while stack:
-            s.unassign(stack.pop())
-        assert s.trail == [] and _search_state(s) == initial
+            undo()
+        assert _search_state(s) == initial
+
+    @settings(max_examples=20, deadline=None)
+    @given(GRAPHS, st.sampled_from(SPECS))
+    def test_searches_restore_exact_masks_before_every_assign(self, g, spec):
+        check = self.assert_masks_exact
+
+        class Checked(_Search):
+            __slots__ = ()
+
+            def assign(self, i, ell):
+                check(self)
+                return super().assign(i, ell)
+
+        Checked(g, spec, color_seed=True).decide()
+        Checked(g, spec, color_seed=True).optimum(1, True)
+        Checked(g, spec, color_seed=True).optimum(spec.k, False)
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(min_n=5, max_n=9, max_edges=14), st.sampled_from(SPECS))
@@ -413,8 +451,26 @@ class TestSearchCore:
             s = _Search(g, spec, color_seed=color_seed, twins=twins)
             initial = _search_state(s)
             run(s)
-            assert s.trail == [] and s.marks == []
             assert _search_state(s) == initial
+
+
+class TestNodeCounts:
+    """Totals that a change to the search core's bookkeeping must keep."""
+
+    def test_corpus_totals_up_to_seven_vertices(self, corpus):
+        totals = {}
+        for spec in (S33, S34):
+            stats = [arrows(g, spec).stats for n in range(1, 8) for g in corpus[n]]
+            totals[str(spec)] = (sum(s.nodes for s in stats), sum(s.max_depth for s in stats))
+        assert totals == {"3,3": (14026, 12277), "3,4": (13682, 12342)}
+
+    def test_hanson_toft_optimum(self):
+        nodes = {}
+        for n in (9, 10):
+            search = _Search(hanson_toft(S34, n), S34, twins=True)
+            search.optimum(2, True)
+            nodes[n] = search.nodes
+        assert nodes == {9: 1075, 10: 1819}
 
 
 class TestOracleEquivalence:
@@ -511,6 +567,21 @@ class TestExtremal:
             extremal_critical_coloring(complete_graph(3), S33, 1, "most")
 
 
+@st.composite
+def coloring_texts(draw):
+    """A graph6 line and a color line, either of them possibly garbled."""
+    g = draw(small_graphs(max_n=8))
+    head = draw(st.one_of(st.just(to_graph6(g)), st.text(max_size=6)))
+    digits = draw(st.sampled_from(["1", "12", "1234", "0123456789"]))
+    word = draw(st.one_of(
+        st.text(digits, min_size=g.edge_count, max_size=g.edge_count),
+        st.text(max_size=8),
+    ))
+    text = head + "\n" + word + draw(st.sampled_from(["\n", "", "\n\n", "\nx"]))
+    # Sometimes cut short, so that lines go missing.
+    return text[: draw(st.one_of(st.just(len(text)), st.integers(len(head), len(text))))]
+
+
 class TestWitnessSerialization:
     def test_round_trip_is_bit_exact(self):
         coloring = c5_coloring_of_k5()
@@ -537,6 +608,16 @@ class TestWitnessSerialization:
             parse_coloring("Bw\n", k=2)
         with pytest.raises(ValueError):
             parse_coloring("A_\n\uff12\n", k=2)  # a full-width 2, not an ASCII digit
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(), coloring_texts()), st.integers(1, 4))
+    def test_parse_raises_only_value_error(self, text, k):
+        try:
+            coloring = parse_coloring(text, k)
+        except ValueError:
+            return
+        assert text.split("\n")[1] == coloring.word()
+        assert len(coloring.colors) == coloring.host.edge_count
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

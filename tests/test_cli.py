@@ -170,12 +170,14 @@ class TestCocriticalCommand:
         _, unlimited = invoke(argv, stream)
         assert invoke(argv + ["--node-limit", "141"], stream) == (EXIT_OK, unlimited)
         # The part that runs out, and every part after it, keep their defaults.
-        for limit, minimal in (("140", True), ("107", None), ("16", None)):
-            code, out = invoke(argv + ["--node-limit", limit], stream)
+        # A record that runs out counts every node it spent, the one that
+        # passed the limit included.
+        for limit, minimal in ((140, True), (107, None), (16, None)):
+            code, out = invoke(argv + ["--node-limit", str(limit)], stream)
             assert code == EXIT_INDETERMINATE
             for rec in records(out):
                 assert (rec["verdict"], rec["minimal"], rec["lemmas"]) == (True, minimal, [])
-                assert rec["stats"] == {"nodes": 16}
+                assert rec["stats"] == {"nodes": limit + 1}
 
     def test_lemmas_past_the_chromatic_limit(self):
         # chi is unknown past 16 vertices, so the chromatic bound is skipped.
@@ -312,6 +314,39 @@ class TestScanCommand:
             (summary,) = records(out)
             assert got == code
             assert (summary["cocritical"], summary["indeterminate"]) == counts
+
+
+class TestNodeLedger:
+    """A cocritical record's stats.nodes counts every search of its
+    node_budget block, so it is the least --node-limit under which the
+    record completes.  A scan summary counts the verdicts' searches only."""
+
+    # K6-e: the verdict takes 16 nodes, minimality 92 and the lemma suite 33.
+    # Two input lines, each in its own block.
+    STREAM = 2 * (to_graph6(k6_minus()) + "\n")
+
+    @staticmethod
+    def nodes(out):
+        return [rec["stats"]["nodes"] for rec in records(out)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_cocritical_nodes_are_the_least_sufficient_limit(self, workers):
+        argv = ["cocritical", "--spec", "3,3", "--minimal", "--lemmas", "--workers", workers]
+        code, out = invoke(argv, self.STREAM)
+        assert (code, self.nodes(out)) == (EXIT_OK, [141, 141])
+        assert invoke(argv + ["--node-limit", "141"], self.STREAM) == (EXIT_OK, out)
+        code, short = invoke(argv + ["--node-limit", "140"], self.STREAM)
+        assert (code, self.nodes(short)) == (EXIT_INDETERMINATE, [141, 141])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_scan_counts_the_verdicts_only(self, workers):
+        # The lemma suite is charged to the limit, 49 nodes a line, but the
+        # summary sums the two verdicts' 16 nodes each.
+        argv = ["scan", "--spec", "3,3", "--workers", workers]
+        for extra, code in (([], EXIT_OK), (["--node-limit", "49"], EXIT_OK),
+                            (["--node-limit", "48"], EXIT_INDETERMINATE)):
+            got, out = invoke(argv + extra, self.STREAM)
+            assert (got, self.nodes(out)) == (code, [32])
 
 
 class TestWorkerDispatch:
