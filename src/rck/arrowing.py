@@ -2,7 +2,7 @@
 
 Decides whether every k-edge coloring of a graph contains a monochromatic
 K_{t_ell} in some color ell, by depth-first search over edge colorings that
-keeps a feasible-color mask per uncolored edge (forward checking),
+keeps the feasible colors of every uncolored edge (forward checking),
 branches on the edge with the fewest feasible colors, and breaks the
 symmetries of equal targets and twin vertices.  Negative verdicts carry a
 verified critical coloring as witness.
@@ -162,34 +162,31 @@ def is_critical(g: Graph, coloring: EdgeColoring, spec: CliqueVector) -> bool:
     return True
 
 
-# dom[i] holds bit ell for each color ell that edge i can still take.  A
-# colored edge holds _COLORED (bit 0 names no color), so it never counts as
-# a feasible or forced edge and never wins select().
-_COLORED = 1
-_DOMAIN_SIZE = [d.bit_count() for d in range(2 << MAX_COLORS)]
-_DOMAIN_SIZE[_COLORED] = MAX_COLORS + 1
-_DOMAIN_COLORS = [
-    tuple(ell for ell in range(1, MAX_COLORS + 1) if d >> ell & 1)
-    for d in range(2 << MAX_COLORS)
+# _RIVALS[k][ell] lists the colors 1..k other than ell; ell = 0 names no
+# color, so _RIVALS[k][0] lists them all.
+_RIVALS = [
+    [tuple(c for c in range(1, k + 1) if c != ell) for ell in range(k + 1)]
+    for k in range(MAX_COLORS + 1)
 ]
 
 
 class _Search:
     """Backtracking state shared by the decision and optimum searches.
 
-    Every uncolored edge keeps the mask of colors that complete no
-    monochromatic target clique (forward checking, Haralick & Elliott 1980).
-    assign() removes the assigned color from the masks of the edges it newly
-    blocks and reports a wipe-out, an uncolored edge left with an empty
-    mask.  unassign() reverts only the edge's color, its color-class bits
-    and the uncolored count.  The root and each node with two or more
-    children copy the masks before branching and restore them after each
-    child; a node with one child leaves that to its nearest such ancestor.
+    Every uncolored edge keeps the colors that complete no monochromatic
+    target clique (forward checking, Haralick & Elliott 1980), bit-parallel
+    (San Segundo, Rodriguez-Losada & Jimenez 2011): bit i of can[ell] is set
+    while edge i can take color ell, and bit i of can[0] while edge i is
+    uncolored; a colored edge's stale bits are masked with can[0].  assign()
+    clears ell from the edges it newly blocks and reports a wipe-out, an
+    uncolored edge left with no color.  unassign() reverts the edge's color,
+    its color-class bits and the uncolored count; every node that branches
+    copies can, k + 1 integers, first and restores it after each child.
 
     color_seed restricts edge 0 to the least color of each group of equal
     targets.  Colors with equal targets are interchangeable, so if any
     critical coloring exists, one gives edge 0 such a color.  The
-    restriction is applied to the mask before the search starts, so it is
+    restriction is applied to can before the search starts, so it is
     sound under any branching order, whenever the edge is branched on, and
     restricted and unrestricted searches agree on the verdict.
 
@@ -204,7 +201,7 @@ class _Search:
 
     __slots__ = (
         "n", "edges", "m", "k", "targets", "adjc", "colors", "uncolored",
-        "nodes", "max_depth", "limit", "dom", "eid", "hadj", "lex",
+        "nodes", "max_depth", "limit", "can", "rivals", "ebit", "hadj", "lex",
     )
 
     def __init__(self, g, spec, *, color_seed=False, twins=False):
@@ -213,6 +210,7 @@ class _Search:
         self.m = len(self.edges)
         self.k = spec.k
         self.targets = spec.sizes
+        self.rivals = _RIVALS[self.k]
         self.adjc = [[0] * self.n for _ in range(self.k + 1)]
         self.colors = [0] * self.m
         self.uncolored = self.m
@@ -221,20 +219,18 @@ class _Search:
         budget = _budget.get()
         self.limit = None if budget is None else budget.start(self)
         self.hadj = g.adj
-        self.eid = [[-1] * self.n for _ in range(self.n)]
+        # ebit[u][v] is the bit of edge uv in the edge masks.
+        self.ebit = [[0] * self.n for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
-            self.eid[u][v] = self.eid[v][u] = i
+            self.ebit[u][v] = self.ebit[v][u] = 1 << i
         # An empty coloring completes no clique of size >= 3; only a K_2
         # target forbids its color outright.
-        full = least = 0
+        self.can = [(1 << self.m) - 1] * (self.k + 1)
         for ell, t in enumerate(spec.sizes, start=1):
-            if t > 2:
-                full |= 1 << ell
-            if t not in spec.sizes[: ell - 1]:
-                least |= 1 << ell
-        self.dom = [full] * self.m
-        if color_seed and self.m:
-            self.dom[0] &= least
+            if t == 2:
+                self.can[ell] = 0
+            elif color_seed and t in spec.sizes[: ell - 1]:
+                self.can[ell] &= ~1
         # lex[i] lists, for each twin swap that moves edge i, the moved edge
         # pairs (ax, bx) by increasing x.  Both edges of a pair sort by their
         # other endpoint x, so the pairs are in edge order.
@@ -243,9 +239,12 @@ class _Search:
         if twin_list:
             self.lex = [[] for _ in range(self.m)]
             for a, b in twin_list:
-                row_a, row_b = self.eid[a], self.eid[b]
+                row_a, row_b = self.ebit[a], self.ebit[b]
                 others = g.adj[a] & ~(1 << b)
-                pairs = tuple((row_a[x], row_b[x]) for x in bits(others))
+                pairs = tuple(
+                    (row_a[x].bit_length() - 1, row_b[x].bit_length() - 1)
+                    for x in bits(others)
+                )
                 for i, j in pairs:
                     self.lex[i].append(pairs)
                     self.lex[j].append(pairs)
@@ -254,40 +253,38 @@ class _Search:
         """Uncolored edge with the fewest feasible colors, lowest index on ties.
 
         Call only while some edge is uncolored.  An edge with a single
-        feasible color is thereby colored next.  An empty mask, which only
-        the root can hold (every target 2), is chosen first and has no child.
+        feasible color is thereby colored next.  An edge with no color,
+        which only the root can hold (every target 2), ties with those that
+        have one; it has no child.
         """
-        best_i = -1
-        best_size = MAX_COLORS + 1
-        for i, d in enumerate(self.dom):
-            size = _DOMAIN_SIZE[d]
-            if size < best_size:
-                best_i = i
-                best_size = size
-                if size <= 1:
-                    break
-        return best_i
+        can = self.can
+        x = can[0]
+        if self.k == 2:
+            x = x & ~(can[1] & can[2]) or x
+        else:
+            # at_least[j]: the uncolored edges with j or more colors left.
+            at_least = [x] + [0] * self.k
+            for c in can[1:]:
+                for j in range(self.k, 0, -1):
+                    at_least[j] |= at_least[j - 1] & c
+            x = next((x ^ fuller for fuller in at_least[2:] if x ^ fuller), x)
+        return (x & -x).bit_length() - 1
 
-    def _block(self, ell: int, a, pairs: int, x: int, within: int, need: int) -> bool:
-        """Drop ell from each uncolored edge xy, y in pairs, that would close
-        a K_{t_ell} through the new edge uv.  within holds the vertices
-        joined in color ell to u, v and x, so the other need vertices of
-        such a clique lie in within & a[y].  True on a wipe-out."""
-        bit = 1 << ell
-        row = self.eid[x]
-        dom = self.dom
-        wiped = False
+    def _block(self, live: int, a, pairs: int, x: int, within: int, need: int) -> int:
+        """The edges of live, among the xy with y in pairs, that would close a
+        K_{t_ell} through the new edge uv of color ell.  within holds the
+        vertices joined in color ell to u, v and x, so the other need
+        vertices of such a clique lie in within & a[y]."""
+        row = self.ebit[x]
+        blocked = 0
         while pairs:
             low = pairs & -pairs
             y = low.bit_length() - 1
             pairs ^= low
-            j = row[y]
-            d = dom[j]
-            if d & bit and (need <= 0 or mask_has_clique(a, within & a[y], need)):
-                dom[j] = d ^ bit
-                if d == bit:
-                    wiped = True
-        return wiped
+            b = row[y]
+            if live & b and (need <= 0 or mask_has_clique(a, within & a[y], need)):
+                blocked |= b
+        return blocked
 
     def assign(self, i: int, ell: int) -> bool:
         """Color edge i with ell and forward-check; True on a wipe-out.
@@ -295,11 +292,13 @@ class _Search:
         Only two kinds of uncolored edge xy can gain a K_{t_ell} through the
         new edge uv: those sharing an endpoint with it (x = u and vy already
         in color ell, or the reverse), and for t_ell >= 4 those inside the
-        common ell-neighborhood of u and v.  Then each lex-leader constraint
-        on edge i is checked.
+        common ell-neighborhood of u and v.  Only edges that can still take
+        ell are tested, so a colored edge never pays a clique test.  Then
+        each lex-leader constraint on edge i is checked.
         """
         u, v = self.edges[i]
-        self.dom[i] = _COLORED
+        can = self.can
+        can[0] ^= 1 << i
         self.colors[i] = ell
         self.uncolored -= 1
         a = self.adjc[ell]
@@ -308,8 +307,9 @@ class _Search:
         need = self.targets[ell - 1] - 3
         common = a[u] & a[v]
         hadj = self.hadj
-        wiped = self._block(ell, a, a[v] & hadj[u], u, common, need)
-        wiped |= self._block(ell, a, a[u] & hadj[v], v, common, need)
+        live = can[ell] & can[0]
+        blocked = self._block(live, a, a[v] & hadj[u], u, common, need)
+        blocked |= self._block(live, a, a[u] & hadj[v], v, common, need)
         if need >= 1:
             rest = common
             while rest:
@@ -318,10 +318,14 @@ class _Search:
                 rest ^= low
                 pairs = rest & hadj[x]
                 if pairs:
-                    wiped |= self._block(ell, a, pairs, x, common & a[x], need - 1)
-        if wiped or self.lex is None:
-            return wiped
-        return self._breaks_lex_order(i)
+                    blocked |= self._block(live, a, pairs, x, common & a[x], need - 1)
+        if blocked:
+            can[ell] ^= blocked
+            for c in self.rivals[ell]:
+                blocked &= ~can[c]
+            if blocked:
+                return True
+        return self.lex is not None and self._breaks_lex_order(i)
 
     def _breaks_lex_order(self, i: int) -> bool:
         """True iff the colors decided so far break a constraint moving edge i.
@@ -343,7 +347,7 @@ class _Search:
         return False
 
     def unassign(self, i: int) -> None:
-        """Uncolor edge i; the caller restores the masks."""
+        """Uncolor edge i; the caller restores can."""
         ell = self.colors[i]
         u, v = self.edges[i]
         self.colors[i] = 0
@@ -364,39 +368,35 @@ class _Search:
         """First critical coloring found, as a color word, or None.
 
         Branches on select()'s edge, colors in ascending order, and skips a
-        child whose assignment wipes out a mask.
+        child whose assignment wipes out an edge.
         """
         self.tick()
         if self.uncolored == 0:
             return tuple(self.colors)
         i = self.select()
-        dom = self.dom
-        colors = _DOMAIN_COLORS[dom[i]]
-        saved = dom[:] if len(colors) > 1 or self.uncolored == self.m else None
-        for ell in colors:
-            word = None if self.assign(i, ell) else self.decide()
-            self.unassign(i)
-            if saved is not None:
-                dom[:] = saved
-            if word is not None:
-                return word
+        can = self.can
+        saved = can[:]
+        for ell in self.rivals[0]:
+            if saved[ell] >> i & 1:
+                word = None if self.assign(i, ell) else self.decide()
+                self.unassign(i)
+                can[:] = saved
+                if word is not None:
+                    return word
         return None
 
     def optimum(self, color: int, maximizing: bool) -> tuple[int, ...] | None:
         """Critical color word with the extreme number of color edges, or None.
 
         Branch and bound over decide()'s branching.  The bound counts the
-        uncolored edges whose mask still holds color (maximizing) or holds
-        nothing else (minimizing); masks only shrink along a branch, so the
-        bound is admissible.
+        uncolored edges that can still take color (maximizing) or nothing
+        else (minimizing); feasible colors only shrink along a branch, so
+        the bound is admissible.
         """
-        others = [c for c in range(1, self.k + 1) if c != color]
-        order = [color] + others if maximizing else others + [color]
-        # The masks that still hold color; counting each is cheaper than
-        # testing every mask for the bit.
-        holding = [d for d in range(2, 2 << self.k, 2) if d >> color & 1]
-        forced = 1 << color
-        dom = self.dom
+        others = self.rivals[color]
+        order = (color, *others) if maximizing else (*others, color)
+        excluded = () if maximizing else others
+        can = self.can
         best_value = -1 if maximizing else self.m + 1
         best_word: tuple[int, ...] | None = None
 
@@ -404,25 +404,24 @@ class _Search:
             nonlocal best_value, best_word
             self.tick()
             if best_word is not None:
-                if maximizing:
-                    if count + sum(map(dom.count, holding)) <= best_value:
-                        return
-                elif count + dom.count(forced) >= best_value:
+                reach = can[color] & can[0]
+                for c in excluded:
+                    reach &= ~can[c]
+                bound = count + reach.bit_count()
+                if (bound <= best_value) if maximizing else (bound >= best_value):
                     return
             if self.uncolored == 0:
                 best_value = count
                 best_word = tuple(self.colors)
                 return
             i = self.select()
-            d = dom[i]
-            saved = dom[:] if _DOMAIN_SIZE[d] > 1 or self.uncolored == self.m else None
+            saved = can[:]
             for ell in order:
-                if d >> ell & 1:
+                if saved[ell] >> i & 1:
                     if not self.assign(i, ell):
                         explore(count + (ell == color))
                     self.unassign(i)
-                    if saved is not None:
-                        dom[:] = saved
+                    can[:] = saved
 
         explore(0)
         return best_word

@@ -1,9 +1,10 @@
+import contextlib
 import json
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
@@ -45,6 +46,7 @@ S33 = CliqueVector((3, 3))
 S34 = CliqueVector((3, 4))
 S23 = CliqueVector((2, 3))
 S35 = CliqueVector((3, 5))
+S334 = CliqueVector((3, 3, 4))
 
 
 def c5_coloring_of_k5() -> EdgeColoring:
@@ -280,22 +282,34 @@ class TestOrderedMap:
         assert ordered_map(abs, jobs, 2) == [abs(j) for j in jobs]
 
 
+def masks(s: _Search) -> list[int]:
+    """The feasible-color mask of every edge, expanded from the search's
+    per-color edge sets: bit ell of mask i is set while uncolored edge i can
+    still take color ell.  A colored edge reads 0."""
+    return [
+        sum(1 << ell for ell in range(1, s.k + 1) if s.can[ell] >> i & 1)
+        if s.can[0] >> i & 1
+        else 0
+        for i in range(s.m)
+    ]
+
+
 class TestSymmetryBreaking:
     """Bit ell of a feasible-color mask stands for color ell."""
 
     def test_equal_targets_restrict_first_edge(self):
-        assert _Search(complete_graph(6), S33, color_seed=True).dom[0] == 0b010
+        assert masks(_Search(complete_graph(6), S33, color_seed=True))[0] == 0b010
 
     def test_distinct_targets_on_complete_graph_restrict_nothing(self):
-        assert _Search(complete_graph(9), S34, color_seed=True).dom[0] == 0b110
+        assert masks(_Search(complete_graph(9), S34, color_seed=True))[0] == 0b110
 
     def test_non_complete_graph_color_restriction_only(self):
-        assert _Search(cycle_graph(5), S33, color_seed=True).dom[0] == 0b010
-        assert _Search(cycle_graph(5), S34, color_seed=True).dom[0] == 0b110
+        assert masks(_Search(cycle_graph(5), S33, color_seed=True))[0] == 0b010
+        assert masks(_Search(cycle_graph(5), S34, color_seed=True))[0] == 0b110
 
     def test_three_color_groups(self):
-        s = _Search(complete_graph(4), CliqueVector((3, 3, 4)), color_seed=True)
-        assert s.dom[0] == 0b1010  # colors 1 and 3
+        s = _Search(complete_graph(4), S334, color_seed=True)
+        assert masks(s)[0] == 0b1010  # colors 1 and 3
 
     def test_twin_pairs(self):
         assert twin_pairs(complete_graph(4)) == [(0, 1), (1, 2), (2, 3)]
@@ -356,15 +370,16 @@ class TestSymmetryBreaking:
 
 
 def _search_state(s: _Search):
-    return list(s.dom), [list(a) for a in s.adjc], list(s.colors), s.uncolored
+    return list(s.can), [list(a) for a in s.adjc], list(s.colors), s.uncolored
 
 
 class TestSearchCore:
-    """The feasible-color masks against a from-scratch recomputation."""
+    """The feasible colors against a from-scratch recomputation."""
 
     # (3,5) makes assign() recheck edges inside a common neighborhood with a
-    # clique test of its own; (3,4) with none; (3,3) not at all.
-    SPECS = (S33, S34, S35)
+    # clique test of its own; (3,4) with none; (3,3) not at all.  (3,3,4)
+    # counts three colors per edge and seeds edge 0 from two groups.
+    SPECS = (S33, S34, S35, S334)
 
     @staticmethod
     def assert_masks_exact(s: _Search) -> None:
@@ -372,6 +387,9 @@ class TestSearchCore:
         least color of each group of equal targets."""
         targets = s.targets
         least = [ell for ell, t in enumerate(targets, 1) if targets.index(t) == ell - 1]
+        assert s.can[0] == sum(1 << i for i in range(s.m) if not s.colors[i])
+        assert s.uncolored == s.can[0].bit_count()
+        got = masks(s)
         for i, (u, v) in enumerate(s.edges):
             if s.colors[i]:
                 continue
@@ -379,7 +397,7 @@ class TestSearchCore:
             for ell in least if i == 0 else range(1, s.k + 1):
                 if not completes_clique(s.adjc[ell], s.targets[ell - 1], u, v):
                     want |= 1 << ell
-            assert s.dom[i] == want, (i, s.colors)
+            assert got[i] == want, (i, s.colors)
 
     # Sparse draws rarely hold the cliques that shrink masks; their
     # complements are dense.
@@ -394,26 +412,29 @@ class TestSearchCore:
         s = _Search(g, spec, color_seed=True)
         initial = _search_state(s)
         self.assert_masks_exact(s)
-        # Each assign() is undone by unassign() and the masks copied before
-        # it; the next test checks the copies the searches themselves restore.
+        # Each assign() is undone by unassign() and the copy of can made
+        # before it; the next test checks the copies the searches themselves
+        # restore.
         stack: list[tuple[int, list[int]]] = []
 
         def undo():
             i, saved = stack.pop()
             s.unassign(i)
-            s.dom[:] = saved
+            s.can[:] = saved
 
         for _ in range(data.draw(st.integers(0, 60))):
-            open_edges = [i for i in range(s.m) if not s.colors[i] and s.dom[i]]
+            dom = masks(s)
+            open_edges = [i for i in range(s.m) if not s.colors[i] and dom[i]]
             if open_edges and (not stack or data.draw(st.integers(0, 3))):
                 i = data.draw(st.sampled_from(open_edges))
                 ell = data.draw(
-                    st.sampled_from([c for c in range(1, s.k + 1) if s.dom[i] >> c & 1])
+                    st.sampled_from([c for c in range(1, s.k + 1) if dom[i] >> c & 1])
                 )
-                empty = {j for j in range(s.m) if not s.colors[j] and not s.dom[j]}
-                stack.append((i, s.dom[:]))
+                empty = {j for j in range(s.m) if not s.colors[j] and not dom[j]}
+                stack.append((i, s.can[:]))
                 wiped = s.assign(i, ell)
-                now = {j for j in range(s.m) if not s.colors[j] and not s.dom[j]}
+                dom = masks(s)
+                now = {j for j in range(s.m) if not s.colors[j] and not dom[j]}
                 assert wiped == bool(now - empty)
             elif stack:
                 undo()
@@ -422,6 +443,7 @@ class TestSearchCore:
             undo()
         assert _search_state(s) == initial
 
+    @example(complete_graph(9), S35)
     @settings(max_examples=20, deadline=None)
     @given(GRAPHS, st.sampled_from(SPECS))
     def test_searches_restore_exact_masks_before_every_assign(self, g, spec):
@@ -434,9 +456,13 @@ class TestSearchCore:
                 check(self)
                 return super().assign(i, ell)
 
-        Checked(g, spec, color_seed=True).decide()
-        Checked(g, spec, color_seed=True).optimum(1, True)
-        Checked(g, spec, color_seed=True).optimum(spec.k, False)
+        # Unconstrained optima can be huge (K9 with (3,5) takes 1,852,098
+        # nodes), so the example ends at the budget; every assign up to it
+        # is checked.
+        with node_budget(20_000), contextlib.suppress(NodeLimitExceeded):
+            Checked(g, spec, color_seed=True).decide()
+            Checked(g, spec, color_seed=True).optimum(1, True)
+            Checked(g, spec, color_seed=True).optimum(spec.k, False)
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(min_n=5, max_n=9, max_edges=14), st.sampled_from(SPECS))
@@ -512,6 +538,93 @@ class TestOracleEquivalence:
                     assert got is not None
                     assert got.class_size(color) == want
                     assert is_critical(g, got, spec)
+
+    # K_2 targets forbid a color outright, so small graphs still arrow; the
+    # unsorted specs give the color seed groups that are not contiguous.
+    MULTI_COLOR_SPECS = tuple(
+        CliqueVector(sizes)
+        for sizes in (
+            (3, 3, 3), (2, 2, 3), (3, 2, 3), (3, 3, 3, 3), (2, 2, 2, 3), (2, 3, 2, 3),
+        )
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_three_and_four_colors_match_full_enumeration(self, data):
+        spec = data.draw(st.sampled_from(self.MULTI_COLOR_SPECS))
+        g = data.draw(small_graphs(min_n=2, max_n=6, max_edges=8 if spec.k == 3 else 6))
+        assert arrows(g, spec).arrows == brute_arrows(g, spec)
+        # brute_extremal_class_size's enumeration, made once for all 2k optima.
+        words = all_critical_words(g, spec)
+        for color in range(1, spec.k + 1):
+            sizes = [word.count(color) for word in words]
+            for mode, pick in (("max", max), ("min", min)):
+                got = extremal_critical_coloring(g, spec, color, mode)
+                if not words:
+                    assert got is None
+                    continue
+                assert is_critical(g, got, spec)
+                assert got.class_size(color) == pick(sizes)
+
+
+class TestGateInstances:
+    """Node counts and words of the search core's gate instances.  They do
+    not depend on how the feasible colors are stored."""
+
+    def test_k14_arrows_for_3_5(self):
+        verdict = arrows(complete_graph(14), S35)
+        assert (verdict.arrows, verdict.stats.nodes, verdict.stats.max_depth) == (True, 7873, 71)
+
+    # Per n: the words for (color 2, max), (color 1, min) and (color 1, max).
+    # Colors 1 and 2 split every critical coloring's edges, so the first two
+    # optima share a word.
+    HT34_WORDS = {
+        9: (
+            "11222222212222221122211222212221111",
+            "11222222212222221122211222212221111",
+            "11122222221122221212221211221112211",
+        ),
+        10: (
+            "112222222212222222112222112222212222111111",
+            "112222222212222222112222112222212222111111",
+            "111222222221122222121222212111221111222111",
+        ),
+        11: (
+            "1122222222212222222211222221122222212222211111111",
+            "1122222222212222222211222221122222212222211111111",
+            "1112222222221122222212122222121111221111122221111",
+        ),
+        12: (
+            "11222222222212222222221122222211222222212222221111111111",
+            "11222222222212222222221122222211222222212222221111111111",
+            "11122222222221122222221212222221211111221111112222211111",
+        ),
+    }
+
+    def test_three_and_four_color_node_totals(self, corpus):
+        # Decisions on every graph up to seven vertices, optima up to six.
+        totals = {}
+        for spec in (CliqueVector((3, 3, 3)), CliqueVector((3, 3, 3, 3))):
+            decide = sum(arrows(g, spec).stats.nodes for n in range(1, 8) for g in corpus[n])
+            optimum = 0
+            for g in (g for n in range(1, 7) for g in corpus[n]):
+                search = _Search(g, spec, twins=True)
+                search.optimum(1, True)
+                optimum += search.nodes
+            totals[str(spec)] = (decide, optimum)
+        assert totals == {"3,3,3": (13646, 13191), "3,3,3,3": (13602, 35472)}
+
+    def test_hanson_toft_extremal_words(self):
+        optima = {}
+        for n, words in self.HT34_WORDS.items():
+            g = hanson_toft(S34, n)
+            got = []
+            for (color, mode), word in zip(((2, "max"), (1, "min"), (1, "max")), words):
+                coloring = extremal_critical_coloring(g, S34, color, mode)
+                assert coloring.word() == word
+                got.append(coloring.class_size(color))
+            optima[n] = tuple(got)
+        assert optima == {9: (23, 12, 15), 10: (28, 14, 18), 11: (33, 16, 21), 12: (38, 18, 24)}
 
 
 class TestExtremal:

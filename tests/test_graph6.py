@@ -3,10 +3,11 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_graphs
 from oracles import bitwise_graph6_rows
-from rck.graph6 import parse_graph6, to_graph6
+from rck.graph6 import HEADER, parse_graph6, to_graph6
 from rck.graphs import MAX_VERTICES, complete_graph, empty_graph, from_edges
 
 
@@ -99,3 +100,30 @@ def test_rejections_match_the_bitwise_decoder(line):
     with pytest.raises(ValueError) as got:
         parse_graph6(line)
     assert str(got.value) == str(expected.value)
+
+
+@st.composite
+def mutated_lines(draw):
+    """A valid line, sometimes under the header, with a few characters
+    replaced, inserted or deleted, and surrounding whitespace at times."""
+    line = to_graph6(draw(small_graphs(max_n=MAX_VERTICES)))
+    line = draw(st.sampled_from(["", HEADER])) + line
+    chars = st.one_of(st.characters(min_codepoint=58, max_codepoint=130), st.characters())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        tail = line[i + 1:] if edit != "insert" else line[i:]
+        line = line[:i] + ("" if edit == "delete" else draw(chars)) + tail
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", "\n", " \r\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), mutated_lines()))
+def test_parse_accepts_only_the_encoding_it_returns(line):
+    # Like the CLI, the parser drops surrounding whitespace and the header;
+    # what remains must be the one graph6 line of the graph it returns.
+    try:
+        g = parse_graph6(line)
+    except ValueError:
+        return
+    assert to_graph6(g) == line.strip().removeprefix(HEADER)
