@@ -10,8 +10,8 @@ verified critical coloring as witness.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import cached_property
 
 from .graph6 import parse_graph6, to_graph6
@@ -59,17 +59,17 @@ class node_budget:
 _budget: ContextVar[node_budget | None] = ContextVar("node_budget", default=None)
 
 
-@dataclass(frozen=True)
-class CliqueVector:
+class CliqueVector(namedtuple("CliqueVector", "sizes")):
     """Target clique sizes (t_1, ..., t_k), one per color, in color order."""
 
-    sizes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= len(self.sizes) <= MAX_COLORS:
+    def __new__(cls, sizes: tuple[int, ...]):
+        if not 1 <= len(sizes) <= MAX_COLORS:
             raise ValueError(f"between 1 and {MAX_COLORS} colors supported")
-        if any(t < 2 for t in self.sizes):
+        if any(t < 2 for t in sizes):
             raise ValueError("every clique target must be at least 2")
+        return tuple.__new__(cls, (sizes,))
 
     @property
     def k(self) -> int:
@@ -97,19 +97,18 @@ class CliqueVector:
         return ",".join(str(t) for t in self.sizes)
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Colors in 1..k for every edge of host, in lexicographic edge order."""
+class EdgeColoring(namedtuple("EdgeColoring", "host colors k")):
+    """Colors in 1..k for every edge of host, in lexicographic edge order.
 
-    host: Graph
-    colors: tuple[int, ...]
-    k: int
+    Keeps an instance dict, like Graph, for its cached color classes.
+    """
 
-    def __post_init__(self):
-        if len(self.colors) != self.host.edge_count:
+    def __new__(cls, host: Graph, colors: tuple[int, ...], k: int):
+        if len(colors) != host.edge_count:
             raise ValueError("one color per edge required")
-        if any(not 1 <= c <= self.k for c in self.colors):
-            raise ValueError(f"colors must lie in 1..{self.k}")
+        if any(not 1 <= c <= k for c in colors):
+            raise ValueError(f"colors must lie in 1..{k}")
+        return tuple.__new__(cls, (host, colors, k))
 
     def class_size(self, ell: int) -> int:
         return sum(1 for c in self.colors if c == ell)
@@ -131,19 +130,17 @@ class EdgeColoring:
         return "".join(str(c) for c in self.colors)
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    nodes: int
-    max_depth: int
+class SearchStats(namedtuple("SearchStats", "nodes max_depth")):
+    """Nodes a search visited and the deepest level it reached."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ArrowVerdict:
-    """arrows=None means the node budget ran out before a verdict."""
+class ArrowVerdict(namedtuple("ArrowVerdict", "arrows witness stats")):
+    """arrows=None means the node budget ran out before a verdict; witness
+    is the critical EdgeColoring of a False verdict, else None."""
 
-    arrows: bool | None
-    witness: EdgeColoring | None
-    stats: SearchStats
+    __slots__ = ()
 
 
 def is_critical(g: Graph, coloring: EdgeColoring, spec: CliqueVector) -> bool:

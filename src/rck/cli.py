@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict
 from functools import partial
 
 from .arrowing import (
@@ -140,15 +140,24 @@ def _worse_exit(a: int, b: int) -> int:
     return a if order.get(a, 0) >= order.get(b, 0) else b
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ordered_map(fn, jobs: list, workers: int) -> list:
     """fn over jobs, with the results in input order.
 
-    With fewer than two workers or two jobs the jobs run inline.  Otherwise
-    a process pool runs them in about eight chunks per worker, enough to
+    The pool has min(workers, jobs, usable CPUs) processes, since a process
+    pool may start all of them at the first job; below two the jobs run
+    inline.  A pool runs them in about eight chunks per process, enough to
     balance uneven jobs while keeping the per-chunk hand-over rare.  A job
     that raises stops the map and cancels the chunks not yet started.
     """
-    if workers < 2 or len(jobs) < 2:
+    workers = min(workers, len(jobs), _usable_cpus())
+    if workers < 2:
         return list(map(fn, jobs))
     # Imported here because it loads multiprocessing, which a run with one
     # worker never uses, and that import is a large share of start-up.
@@ -185,7 +194,7 @@ def _arrow_record(cfg: argparse.Namespace, line: str, _ledger) -> tuple[dict, in
     verdict = arrows(g, cfg.spec)
     record = _record_base(g, g6, cfg.spec, graph_facts(g, cfg.spec))
     record["verdict"] = verdict.arrows
-    record["stats"] = asdict(verdict.stats)
+    record["stats"] = verdict.stats._asdict()
     if verdict.witness is not None:
         record["witness"] = serialize_coloring(verdict.witness)
     code = EXIT_INDETERMINATE if verdict.arrows is None else EXIT_OK
@@ -210,7 +219,7 @@ def _cocritical_record(cfg: argparse.Namespace, line: str, ledger) -> tuple[dict
                 record["minimal"] = is_minimal_cocritical(g, spec, report=report)
             if cfg.lemmas:
                 findings = lemma_suite(g, spec)
-                record["lemmas"] = [asdict(f) for f in findings]
+                record["lemmas"] = [f._asdict() for f in findings]
                 if any(not f.holds for f in findings):
                     code = EXIT_ASSERTION_FAILED
         except NodeLimitExceeded:

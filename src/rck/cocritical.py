@@ -11,7 +11,7 @@ input is a build-breaking bug, not a discovery to report quietly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .arrowing import (
@@ -45,29 +45,26 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class CocriticalReport:
+class CocriticalReport(
+    namedtuple(
+        "CocriticalReport",
+        "is_cocritical failing_edge base_witness delta chi ht_bound meets_ht nodes",
+    )
+):
     """Per-graph verdict bundle; is_cocritical None means budget ran out.
+    failing_edge, base_witness, chi, ht_bound and meets_ht may be None.
     nodes counts the verdict's searches only, not a later lemma suite."""
 
-    is_cocritical: bool | None
-    failing_edge: Edge | None
-    base_witness: EdgeColoring | None
-    delta: int
-    chi: int | None
-    ht_bound: int | None
-    meets_ht: bool | None
-    nodes: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LemmaFinding:
-    """Outcome of one structural check; holds must be True on valid input."""
+class LemmaFinding(
+    namedtuple("LemmaFinding", "clause holds vacuous context", defaults=(False, None))
+):
+    """Outcome of one structural check; holds must be True on valid input.
+    context is a dict of ints and bools, or None."""
 
-    clause: str
-    holds: bool
-    vacuous: bool = False
-    context: dict | None = None
+    __slots__ = ()
 
 
 def graph_facts(g: Graph, spec: CliqueVector) -> tuple[int, int | None, int | None]:

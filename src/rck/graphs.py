@@ -7,7 +7,7 @@ mask arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 
 MAX_VERTICES = 32
@@ -25,14 +25,18 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph; adj[v] is the neighbor mask of vertex v."""
+class Graph(namedtuple("Graph", "n adj")):
+    """Undirected simple graph; adj[v] is the neighbor mask of vertex v.
 
-    n: int
-    adj: tuple[int, ...]
+    A tuple (n, adj) that keeps an instance dict for its cached properties.
+    """
 
-    def __post_init__(self):
+    def __new__(cls, n: int, adj: tuple[int, ...]):
+        self = tuple.__new__(cls, (n, adj))
+        self._validate()
+        return self
+
+    def _validate(self):
         if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
         if len(self.adj) != self.n:
@@ -95,12 +99,7 @@ def unchecked_graph(n: int, adj: tuple[int, ...]) -> Graph:
     """A Graph built without validation, for rows that are symmetric,
     loop-free and within 0..n-1 by construction (a decoded graph6 line, or a
     valid graph plus one new vertex)."""
-    g = object.__new__(Graph)
-    # Set as the dataclass __init__ sets them, so every Graph shares one
-    # key table (a dict built another way costs about 150 bytes more).
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "adj", adj)
-    return g
+    return tuple.__new__(Graph, (n, adj))
 
 
 def _check_edge(g: Graph, e: Edge) -> Edge:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .graphs import Edge, Graph, degree_stats, first_free_non_edge, has_clique
+from .graphs import Graph, degree_stats, first_free_non_edge, has_clique
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(
+    namedtuple(
+        "SaturationReport",
+        "is_free is_saturated violating_non_edge hajnal_holds vacuously_complete",
+    )
+):
     """Verdict bundle for one (graph, t) saturation query.
 
     violating_non_edge is the least non-edge whose addition keeps the graph
@@ -18,11 +22,7 @@ class SaturationReport:
     min degree >= 2(t-2)" and is vacuously true for unsaturated graphs.
     """
 
-    is_free: bool
-    is_saturated: bool
-    violating_non_edge: Edge | None
-    hajnal_holds: bool
-    vacuously_complete: bool
+    __slots__ = ()
 
 
 def is_saturated(g: Graph, t: int) -> SaturationReport:

@@ -3,16 +3,20 @@ small graph fixtures.
 
 The oracles enumerate exhaustively (vertex subsets, label permutations, all
 k^m edge colorings) and never call the search engine, so they can check the
-engine without sharing code paths with it.  The fixtures at the end build
-paths, cycles and relabelings; canonical_permutation reads the canonical
-search's vertex order, as the reference for the form's graph6 packing.
+engine without sharing code paths with it.  The one exception,
+greedy_cocritical, builds co-critical graphs past the exhaustive range from
+plain arrows calls, without any of is_cocritical's shortcuts.  The fixtures
+at the end build paths, cycles and relabelings; canonical_permutation reads
+the canonical search's vertex order, as the reference for the form's graph6
+packing.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
 
-from rck.arrowing import CliqueVector
+from rck.arrowing import CliqueVector, arrows
 from rck.canonical import _search
 from rck.graphs import Graph, add_edge, bits, from_edges
 
@@ -190,6 +194,25 @@ def brute_is_cocritical(g: Graph, spec: CliqueVector) -> bool:
     if brute_arrows(g, spec):
         return False
     return all(brute_arrows(add_edge(g, e), spec) for e in g.non_edges())
+
+
+def greedy_cocritical(n: int, spec: CliqueVector, seed: int) -> Graph:
+    """A maximal non-arrowing graph on n vertices: start from the empty
+    graph, shuffle the pairs with random.Random(seed), and add each pair
+    whose addition does not arrow.
+
+    A pair turned down arrowed when it was tried, and by monotonicity still
+    arrows in the final, larger graph, so that graph is co-critical whenever
+    it is not complete, with no shortcut in the argument.
+    """
+    pairs = list(combinations(range(n), 2))
+    random.Random(seed).shuffle(pairs)
+    g = from_edges(n, [])
+    for e in pairs:
+        h = add_edge(g, e)
+        if arrows(h, spec).arrows is False:
+            g = h
+    return g
 
 
 def bitwise_graph6_rows(line: str) -> tuple[int, tuple[int, ...]]:

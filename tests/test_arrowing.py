@@ -1,5 +1,6 @@
 import contextlib
 import json
+import os
 import subprocess
 import sys
 
@@ -27,7 +28,7 @@ from rck.arrowing import (
     parse_coloring,
     serialize_coloring,
 )
-from rck.cli import ordered_map
+from rck.cli import _usable_cpus, ordered_map
 from rck.constructions import hanson_toft
 from rck.graph6 import to_graph6
 from rck.graphs import (
@@ -280,6 +281,40 @@ class TestOrderedMap:
     def test_pool_keeps_input_order(self):
         jobs = list(range(-40, 40, 3))
         assert ordered_map(abs, jobs, 2) == [abs(j) for j in jobs]
+
+    @pytest.mark.parametrize(
+        "workers, jobs, cpus, started",
+        [
+            (4096, 2, 8, 2),  # never more processes than jobs
+            (4096, 100, 8, 8),  # nor than usable CPUs
+            (3, 100, 8, 3),
+            (2, 100, 2, 2),  # corpus-n8's two workers on two CPUs
+            (4096, 100, 1, None),  # one CPU: inline
+            (2, 1, 8, None),  # one job: inline
+        ],
+    )
+    def test_pool_is_capped(self, monkeypatch, workers, jobs, cpus, started):
+        # A stub executor records its size and maps inline, so no process
+        # starts whatever the requested worker count.
+        sizes = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
+        monkeypatch.setattr("rck.cli._usable_cpus", lambda: cpus)
+        assert ordered_map(abs, list(range(-jobs, 0)), workers) == list(range(jobs, 0, -1))
+        assert sizes == ([] if started is None else [started])
+
+    def test_usable_cpus_within_the_machine(self):
+        assert 1 <= _usable_cpus() <= (os.cpu_count() or 1)
 
 
 def masks(s: _Search) -> list[int]:

@@ -1,11 +1,18 @@
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_graphs
 from oracles import cycle_graph
+import rck
 from rck.cli import EXIT_INDETERMINATE, EXIT_INPUT_ERROR, EXIT_OK, main, run
 from rck.constructions import k6_minus
 from rck.graph6 import parse_graph6, to_graph6
@@ -404,6 +411,46 @@ class TestWorkerDispatch:
         assert [rec["g6"] for rec in records(out)] == lines
 
 
+def rejected(text: str) -> bool:
+    try:
+        parse_graph6(text)
+    except ValueError:
+        return True
+    return False
+
+
+# One line that parse_graph6 rejects; blank lines are skipped, not rejected.
+BAD_LINES = st.text(st.characters(blacklist_characters="\n\r"), min_size=1).filter(
+    lambda text: text.strip() and rejected(text.strip())
+)
+
+
+class TestMalformedInput:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from([
+            ["arrow", "--spec", "3,3"],
+            ["cocritical", "--spec", "3,3"],
+            ["saturated", "--t", "4"],
+            ["scan", "--spec", "3,3"],
+        ]),
+        graphs=st.lists(small_graphs(min_n=8, max_n=8), max_size=3),
+        bad=BAD_LINES,
+        at=st.integers(min_value=0),
+    )
+    def test_one_bad_line_exits_2_with_no_records(self, command, graphs, bad, at):
+        lines = [to_graph6(g) for g in graphs]
+        lines.insert(at % (len(lines) + 1), bad)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(command, stdin_text="".join(f"{line}\n" for line in lines))
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        text = bad.strip()
+        with pytest.raises(ValueError) as parse_error:
+            parse_graph6(text)
+        assert err.getvalue() == f"error: bad graph6 line {text!r}: {parse_error.value}\n"
+
+
 SATURATED = ["saturated", "--t", "3", "--construct", "kn:3"]
 COMMANDS = [
     ["arrow", "--spec", "3,3", "--construct", "kn:3"],
@@ -474,6 +521,21 @@ class TestConsoleEntry:
             check=True,
         )
         assert proc.stdout == "False\n"
+
+    def test_import_loads_no_dataclasses(self):
+        # The core types are namedtuples: dataclasses, and the inspect module
+        # it imports, would add a large share of every process's start-up.
+        src = Path(rck.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rck, rck.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout == "[]\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

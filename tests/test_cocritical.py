@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_is_cocritical, cycle_graph
+from oracles import brute_is_cocritical, cycle_graph, greedy_cocritical
 from rck.arrowing import (
     CliqueVector,
     EdgeColoring,
@@ -20,14 +20,16 @@ from rck.cocritical import (
     max_disjoint_cliques,
     mindeg_assert,
 )
-from rck.constructions import hanson_toft, k6_minus
+from rck.constructions import hanson_toft, k6_minus, sharp_mindeg_bound
 from rck.graph6 import parse_graph6
 from rck.graphs import (
     add_edge,
     complete_graph,
+    degree_stats,
     empty_graph,
     from_edges,
     join,
+    remove_edge,
 )
 
 S33 = CliqueVector((3, 3))
@@ -142,6 +144,28 @@ class TestWitnessFirstRefutation:
         report = is_cocritical(cycle_graph(5), S33)
         assert report.failing_edge == (0, 2)
         assert report.nodes == base.stats.nodes
+
+
+class TestGreedyOracle:
+    """Greedy maximal non-arrowing graphs are co-critical by monotonicity
+    alone, past the exhaustive corpus and off the Hanson-Toft family."""
+
+    @pytest.mark.parametrize(
+        "spec, n, seed",
+        [(S33, 10, 0), (S33, 10, 1), (S34, 10, 0), (S34, 10, 1), (S34, 11, 0),
+         (S34, 11, 1), (S35, 14, 0)],
+        ids=str,
+    )
+    def test_greedy_graph_is_cocritical(self, spec, n, seed):
+        g = greedy_cocritical(n, spec, seed)
+        assert is_cocritical(g, spec).is_cocritical is True
+        assert all(f.holds for f in lemma_suite(g, spec))
+        assert degree_stats(g)[0] >= sharp_mindeg_bound(spec)
+        # One edge fewer it is not co-critical; the shortcuts must find the
+        # same failing edge as the definition.
+        h = remove_edge(g, g.edges[-1])
+        report = is_cocritical(h, spec)
+        assert (report.is_cocritical, report.failing_edge) == plain_cocritical(h, spec)
 
 
 class TestRamseyCliqueRule:

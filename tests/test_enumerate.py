@@ -122,14 +122,14 @@ def test_only_the_seed_graph_is_validated(monkeypatch):
     # Children and decoded levels are valid by construction, so only the
     # one-vertex seed runs the public constructor's checks.
     calls = 0
-    check = Graph.__post_init__
+    check = Graph._validate
 
     def counting(self):
         nonlocal calls
         calls += 1
         check(self)
 
-    monkeypatch.setattr(Graph, "__post_init__", counting)
+    monkeypatch.setattr(Graph, "_validate", counting)
     levels = graphs_up_to(6)
     assert calls == 1
     assert [len(levels[n]) for n in range(1, 7)] == [KNOWN_COUNTS[n] for n in range(1, 7)]
