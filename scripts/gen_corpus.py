@@ -10,20 +10,28 @@ import sys
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent.parent / "src"))
 
+from rck.canonical import CANONICAL_MAX_VERTICES
 from rck.enumerate_graphs import graphs_up_to
 from rck.graph6 import to_graph6
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("n", type=int, help="vertex count (max 12)")
+    parser.add_argument("n", type=int, help=f"vertex count (1..{CANONICAL_MAX_VERTICES})")
     parser.add_argument("--out", help="output file (default: stdout)")
     args = parser.parse_args()
 
-    graphs = graphs_up_to(args.n)[args.n]
-    out = open(args.out, "w") if args.out else sys.stdout
+    # Both faults are reported before the enumeration starts.
+    if not 1 <= args.n <= CANONICAL_MAX_VERTICES:
+        print(f"error: vertex count {args.n} outside 1..{CANONICAL_MAX_VERTICES}", file=sys.stderr)
+        return 2
     try:
-        for g in graphs:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    try:
+        for g in graphs_up_to(args.n)[args.n]:
             out.write(to_graph6(g) + "\n")
     finally:
         if args.out:

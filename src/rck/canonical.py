@@ -3,10 +3,18 @@
 Counting refinement on the adjacency bitmasks splits the vertices into
 order-invariant classes, then a backtracking search over class-respecting
 relabelings finds the one whose graph6 bit stream is lexicographically
-smallest.  Each placement extends every vertex's adjacency column by one bit,
-so the winning columns are that bit stream.  Equal canonical graph6 strings
-therefore mean isomorphic graphs and vice versa.  Leaves that tie differ by an
+smallest.  The winning columns, each placed vertex's adjacency to the
+positions before it, are that bit stream, so equal canonical graph6 strings
+mean isomorphic graphs and vice versa.  Leaves that tie differ by an
 automorphism; `automorphism_generators` reports those and the twin swaps.
+
+When every refinement class is one twin class (discrete partitions
+included), every class-respecting relabeling spells the same graph, so the
+class order is canonical with no search and the twin swaps generate all of
+Aut(g); that holds for 9,276 of the 12,346 graphs on 8 vertices.  Otherwise
+the search keeps the candidates of each position as a vertex mask and
+narrows it by each placed vertex's non-neighbours, which leaves exactly the
+candidates with the least column and spells that column.
 """
 
 from __future__ import annotations
@@ -77,36 +85,59 @@ def _search(
     n = g.n
     adj = g.adj
     colors = refinement_classes(g) if classes is None else classes
-    members: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-    for v, c in enumerate(colors):
-        members[c].append(v)
+    order = sorted(range(n), key=colors.__getitem__)  # class order, then vertex
     # Swapping twins is an automorphism, so each level tries one vertex of
-    # each twin class; twin[v] names v's class.  A tied leaf maps the vertex
-    # at each position of the best leaf to the one at that position here.
-    twin = list(range(n))
+    # each twin class.
+    pairs = twin_pairs(g)
+    twin = list(range(n))  # the least member of v's twin class
     automorphisms = []
-    for a, b in twin_pairs(g):
+    for a, b in pairs:
         twin[b] = twin[a]
         swap = list(range(n))
         swap[a], swap[b] = b, a
         automorphisms.append(tuple(swap))
-    required = sorted(colors)  # class id that each position must hold
+    if len(pairs) == n - 1 - max(colors):
+        # Twin classes lie inside refinement classes, so as many twin
+        # classes (n minus the pairs) as refinement classes means every
+        # refinement class is one twin class.  Then each class induces a
+        # clique or an independent set and joins every other class
+        # completely or not at all: every class-respecting relabeling spells
+        # the same graph, and the twin swaps generate Aut(g).  The search
+        # would try the first free vertex of each class and skip its twins,
+        # so its one leaf is the class order.
+        columns = []
+        for j in range(1, n):
+            row = adj[order[j]]
+            col = 0
+            for u in order[:j]:
+                col = col << 1 | row >> u & 1
+            columns.append(col)
+        return columns, order, automorphisms
+    masks = [0] * n
+    for v, t in enumerate(twin):
+        masks[t] |= 1 << v
+    twins = [masks[t] for t in twin]
+    cells = [0] * n
+    for v, c in enumerate(colors):
+        cells[c] |= 1 << v
+    need = [cells[colors[v]] for v in order]  # the class mask of each position
+    nonadj = [~a for a in adj]
 
     best = [_HIGH] * (n - 1)
     perm: list[int] = []  # position -> vertex
     best_perm: list[int] | None = None
     orbit = list(range(n))  # vertex -> orbit id under the automorphisms found
 
-    def place(p: int, cols: list[int], placed: int) -> None:
-        # cols[v] is v's adjacency to positions 0..p-1, position 0 highest;
-        # placed is the mask of the vertices at those positions.
+    def place(p: int, placed: int) -> None:
+        # Positions 0..p-1 hold perm, whose vertices make the mask placed.
         nonlocal best_perm
         if p == n:
             if best_perm is None:
                 best_perm = perm.copy()
             else:
-                # A tie reveals an automorphism; its orbits let the root
-                # level skip equivalent starting vertices.
+                # A tie reveals an automorphism: it maps the vertex at each
+                # position of the best leaf to the one at that position
+                # here.  Its orbits let the root skip equivalent vertices.
                 image = [0] * n
                 for a, b in zip(best_perm, perm):
                     image[a] = b
@@ -114,52 +145,48 @@ def _search(
                     orbit[:] = [keep if o == drop else o for o in orbit]
                 automorphisms.append(tuple(image))
             return
-        cand = [v for v in members[required[p]] if not placed >> v & 1]
-        if len(cand) == 1:
-            # The last free vertex of its class: no order, twin or orbit
-            # to consult, only the bound on this position's column.
-            v = cand[0]
-            if p > 0:
-                col = cols[v]
-                slot = best[p - 1]
-                if col > slot:
-                    return
-                if col < slot:
-                    best[p - 1] = col
-                    for j in range(p, n - 1):
-                        best[j] = _HIGH
-                    best_perm = None
-            perm.append(v)
-            place(p + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)], placed | 1 << v)
-            perm.pop()
+        # The least column among the free vertices of this position's class,
+        # bit by bit: keep the candidates not adjacent to the next placed
+        # vertex (a 0 bit) if there are any, else all of them (a 1 bit).
+        # Only the candidates left spell it; the others are never tried.
+        cand = need[p] & ~placed
+        col = 0
+        for u in perm:
+            m = cand & nonadj[u]
+            if m:
+                cand = m
+                col <<= 1
+            else:
+                col = col << 1 | 1
+        slot = best[p - 1]
+        if col > slot:
             return
-        # Stable, so ties keep vertex order: the order of (col, v).
-        cand.sort(key=cols.__getitem__)
-        tried = 0  # twin classes tried at this level, as a mask
-        tried_roots: list[int] = []
-        for v in cand:
-            if p == 0 and any(orbit[v] == orbit[u] for u in tried_roots):
-                continue
-            if tried >> twin[v] & 1:
-                continue
-            if p > 0:
-                col = cols[v]
-                slot = best[p - 1]
-                if col > slot:
-                    break  # candidates are sorted; the rest are worse
-                if col < slot:
-                    best[p - 1] = col
-                    for j in range(p, n - 1):
-                        best[j] = _HIGH
-                    best_perm = None
-            tried |= 1 << twin[v]
-            if p == 0:
-                tried_roots.append(v)
+        if col < slot:
+            best[p - 1] = col
+            for j in range(p, n - 1):
+                best[j] = _HIGH
+            best_perm = None
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand &= ~twins[v]
             perm.append(v)
-            place(p + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)], placed | 1 << v)
+            place(p + 1, placed | low)
             perm.pop()
 
-    place(0, [0] * n, 0)
+    cand = need[0]
+    tried_roots: list[int] = []
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        if any(orbit[v] == orbit[u] for u in tried_roots):
+            continue  # an automorphism found so far maps v to a tried root
+        cand &= ~twins[v]
+        tried_roots.append(v)
+        perm.append(v)
+        place(1, low)
+        perm.pop()
     assert best_perm is not None
     return best, best_perm, automorphisms
 
@@ -167,7 +194,8 @@ def _search(
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Automorphisms of g (sigma[v] is the image of v): the twin swaps and
     one per tied leaf of the canonical search.  They generate a subgroup of
-    Aut(g), not always all of it."""
+    Aut(g), not always all of it; when every refinement class of g is one
+    twin class they are the twin swaps alone and generate all of Aut(g)."""
     return _search(g)[2]
 
 

@@ -63,7 +63,8 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
         for g in levels[size - 1]:
             delta, _, degs = degree_stats(g)
             low = sum(1 << v for v, dv in enumerate(degs) if dv == delta)
-            generators = automorphism_generators(g)
+            # images[i][v] is the bit of v's image under the i-th generator.
+            images = [[1 << s for s in sigma] for sigma in automorphism_generators(g)]
             seen: set[int] = set()
             for mask in range(1 << (size - 1)):
                 d = mask.bit_count()
@@ -72,8 +73,10 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
                 orbit = [mask]
                 seen.add(mask)
                 for x in orbit:
-                    for sigma in generators:
-                        y = sum(1 << sigma[v] for v in bits(x))
+                    for image in images:
+                        y = 0
+                        for v in bits(x):
+                            y |= image[v]
                         if y not in seen:
                             seen.add(y)
                             orbit.append(y)

@@ -6,9 +6,10 @@ k^m edge colorings) and never call the search engine, so they can check the
 engine without sharing code paths with it.  The one exception,
 greedy_cocritical, builds co-critical graphs past the exhaustive range from
 plain arrows calls, without any of is_cocritical's shortcuts.  The fixtures
-at the end build paths, cycles and relabelings; canonical_permutation reads
-the canonical search's vertex order, as the reference for the form's graph6
-packing.
+at the end build paths, cycles and relabelings.  reference_canonical_search
+is the column-list canonical search that rck's mask search replaced;
+canonical_permutation reads its vertex order, as the reference for the
+form's graph6 packing.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import random
 from itertools import combinations, permutations, product
 
 from rck.arrowing import CliqueVector, arrows
-from rck.canonical import _search
-from rck.graphs import Graph, add_edge, bits, from_edges
+from rck.graphs import Graph, add_edge, bits, from_edges, twin_pairs
 
 
 def subsets_clique_number(g: Graph) -> int:
@@ -276,6 +276,104 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
     """The relabeling (old vertex -> new label) that canonical_form spells:
     the vertex the canonical search places at position i gets label i."""
     perm = [0] * g.n
-    for i, v in enumerate(_search(g)[1]):
+    for i, v in enumerate(reference_canonical_search(g)[1]):
         perm[v] = i
     return tuple(perm)
+
+
+_HIGH = 1 << 40  # sentinel larger than any column value
+
+
+def reference_canonical_search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+    """The column-list canonical search, kept as the reference for
+    rck.canonical._search: the same (columns, vertices, automorphisms)
+    triple, found by sorting every candidate's adjacency column at each
+    level.  Classes come from sorted_tuple_refinement."""
+    n = g.n
+    adj = g.adj
+    colors = sorted_tuple_refinement(g)
+    members: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        members[c].append(v)
+    # Swapping twins is an automorphism, so each level tries one vertex of
+    # each twin class; twin[v] names v's class.  A tied leaf maps the vertex
+    # at each position of the best leaf to the one at that position here.
+    twin = list(range(n))
+    automorphisms = []
+    for a, b in twin_pairs(g):
+        twin[b] = twin[a]
+        swap = list(range(n))
+        swap[a], swap[b] = b, a
+        automorphisms.append(tuple(swap))
+    required = sorted(colors)  # class id that each position must hold
+
+    best = [_HIGH] * (n - 1)
+    perm: list[int] = []  # position -> vertex
+    best_perm: list[int] | None = None
+    orbit = list(range(n))  # vertex -> orbit id under the automorphisms found
+
+    def place(p: int, cols: list[int], placed: int) -> None:
+        # cols[v] is v's adjacency to positions 0..p-1, position 0 highest;
+        # placed is the mask of the vertices at those positions.
+        nonlocal best_perm
+        if p == n:
+            if best_perm is None:
+                best_perm = perm.copy()
+            else:
+                # A tie reveals an automorphism; its orbits let the root
+                # level skip equivalent starting vertices.
+                image = [0] * n
+                for a, b in zip(best_perm, perm):
+                    image[a] = b
+                    keep, drop = orbit[a], orbit[b]
+                    orbit[:] = [keep if o == drop else o for o in orbit]
+                automorphisms.append(tuple(image))
+            return
+        cand = [v for v in members[required[p]] if not placed >> v & 1]
+        if len(cand) == 1:
+            # The last free vertex of its class: no order, twin or orbit
+            # to consult, only the bound on this position's column.
+            v = cand[0]
+            if p > 0:
+                col = cols[v]
+                slot = best[p - 1]
+                if col > slot:
+                    return
+                if col < slot:
+                    best[p - 1] = col
+                    for j in range(p, n - 1):
+                        best[j] = _HIGH
+                    best_perm = None
+            perm.append(v)
+            place(p + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)], placed | 1 << v)
+            perm.pop()
+            return
+        # Stable, so ties keep vertex order: the order of (col, v).
+        cand.sort(key=cols.__getitem__)
+        tried = 0  # twin classes tried at this level, as a mask
+        tried_roots: list[int] = []
+        for v in cand:
+            if p == 0 and any(orbit[v] == orbit[u] for u in tried_roots):
+                continue
+            if tried >> twin[v] & 1:
+                continue
+            if p > 0:
+                col = cols[v]
+                slot = best[p - 1]
+                if col > slot:
+                    break  # candidates are sorted; the rest are worse
+                if col < slot:
+                    best[p - 1] = col
+                    for j in range(p, n - 1):
+                        best[j] = _HIGH
+                    best_perm = None
+            tried |= 1 << twin[v]
+            if p == 0:
+                tried_roots.append(v)
+            perm.append(v)
+            place(p + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)], placed | 1 << v)
+            perm.pop()
+
+    place(0, [0] * n, 0)
+    assert best_perm is not None
+    return best, best_perm, automorphisms

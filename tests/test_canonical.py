@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,13 @@ from oracles import (
     cycle_graph,
     path_graph,
     permutation_isomorphic,
+    reference_canonical_search,
     relabel,
     sorted_tuple_refinement,
 )
 from rck.arrowing import CliqueVector
 from rck.canonical import (
+    _search,
     automorphism_generators,
     canonical_form,
     refinement_classes,
@@ -27,6 +30,7 @@ from rck.graphs import (
     complete_multipartite_graph,
     empty_graph,
     from_edges,
+    twin_pairs,
 )
 
 
@@ -179,3 +183,59 @@ def test_packed_refinement_keys_match_reference_past_twelve_vertices():
     assert any(same_degree_neighbours(g, v) >= 16 for g in graphs for v in range(g.n))
     for g in graphs:
         assert refinement_classes(g) == sorted_tuple_refinement(g)
+
+
+def classes_are_twin_classes(g):
+    # Twin classes lie inside refinement classes, so they coincide exactly
+    # when there are as many twin classes, n minus the twin pairs, as
+    # refinement classes.
+    return g.n - len(twin_pairs(g)) == len(set(refinement_classes(g)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(min_n=1, max_n=12))
+def test_search_matches_the_reference_search(g):
+    assert _search(g) == reference_canonical_search(g)
+
+
+@pytest.mark.parametrize(
+    "g, shortcut",
+    [(PETERSEN, False), (cycle_graph(12), False),
+     (complete_multipartite_graph([4, 4, 4]), False), (complete_graph(12), True),
+     (empty_graph(12), True)]
+    + [(hanson_toft(CliqueVector((3, 3)), n), True) for n in range(6, 11)]
+    + [(complete_multipartite_graph([1, 2, 3]), True), (path_graph(5), False)],
+    ids=["petersen", "c12", "k444", "k12", "e12"]
+    + [f"ht33-{n}" for n in range(6, 11)] + ["k123", "p5"],
+)
+def test_search_matches_the_reference_on_named_graphs(g, shortcut):
+    assert classes_are_twin_classes(g) == shortcut
+    rng = random.Random(g.n)
+    for h in (g, relabel(g, rng.sample(range(g.n), g.n))):
+        assert _search(h) == reference_canonical_search(h)
+
+
+def test_twin_classes_generate_the_whole_group(corpus):
+    # When every refinement class is one twin class, the canonical search is
+    # skipped: its claim is that Aut(g) is then the product of the symmetric
+    # groups on the classes, generated by the twin swaps alone.
+    checked = 0
+    for n in range(1, 7):
+        for g in corpus[n]:
+            if not classes_are_twin_classes(g):
+                continue
+            count = sum(
+                all(g.adj[sigma[v]] == sum(1 << sigma[w] for w in range(n) if g.adj[v] >> w & 1)
+                    for v in range(n))
+                for sigma in permutations(range(n))
+            )
+            sizes = [refinement_classes(g).count(c) for c in set(refinement_classes(g))]
+            assert count == prod(map(factorial, sizes))
+            swaps = []
+            for a, b in twin_pairs(g):
+                swap = list(range(n))
+                swap[a], swap[b] = b, a
+                swaps.append(tuple(swap))
+            assert automorphism_generators(g) == swaps
+            checked += 1
+    assert checked == 135

@@ -45,6 +45,32 @@ def test_gen_corpus_script_prints_one_level():
     assert lines == [to_graph6(g) for g in graphs_up_to(5)[5]]
 
 
+@pytest.mark.parametrize("n", ["0", "13"])
+def test_gen_corpus_script_refuses_vertex_counts_outside_the_cap(n):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "gen_corpus.py"), n],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == f"error: vertex count {n} outside 1..12\n"
+
+
+def test_gen_corpus_script_checks_its_output_before_enumerating(tmp_path):
+    # Enumerating 12 vertices would take far longer than the timeout, so
+    # the error must come before the enumeration starts.
+    out = tmp_path / "missing" / "graphs.g6"
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "gen_corpus.py"), "12", "--out", str(out)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith(f"error: cannot write {out}: ")
+    assert run.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_corpus_counts_up_to_eight(corpus):
     for n in range(1, 9):
         assert len(corpus[n]) == KNOWN_COUNTS[n]
