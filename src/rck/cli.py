@@ -6,7 +6,7 @@ named construction, a graph6 file, or stdin.  Records are emitted in input
 order and are byte-identical across runs and worker counts.
 
 Exit codes: 0 all assertions hold, 1 a theorem assertion failed, 2 input
-error, 3 node budget exceeded (indeterminate).
+error (one stderr line, no records), 3 node budget exceeded (indeterminate).
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ EXIT_OK = 0
 EXIT_ASSERTION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INDETERMINATE = 3
-
-
-class InputError(Exception):
-    pass
+# Theorem failures outrank budget truncation, which outranks success.
+SEVERITY = (EXIT_OK, EXIT_INDETERMINATE, EXIT_ASSERTION_FAILED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,44 +65,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> argparse.Namespace:
-    """The parsed arguments, with spec as a CliqueVector."""
+    """The arguments, checked before any input is read; spec is a CliqueVector."""
     cfg = build_parser().parse_args(argv)
     if cfg.spec is not None:
-        try:
-            cfg.spec = CliqueVector.parse(cfg.spec)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        cfg.spec = CliqueVector.parse(cfg.spec)
     if cfg.construct is not None and cfg.in_path is not None:
-        raise InputError("choose one input source: --construct or --in")
+        raise ValueError("choose one input source: --construct or --in")
     if cfg.workers < 1:
-        raise InputError("worker count must be at least 1")
+        raise ValueError("worker count must be at least 1")
     if cfg.budget is not None and cfg.budget < 0:
-        raise InputError("node limit must be at least 0")
+        raise ValueError("node limit must be at least 0")
+    if cfg.subcommand == "saturated" and cfg.t < 2:
+        raise ValueError("clique target must be at least 2")
     return cfg
 
 
-def load_inputs(cfg: argparse.Namespace):
-    """Yield the graph6 line of each input graph, unparsed.
+def load_inputs(cfg: argparse.Namespace) -> list[str]:
+    """The graph6 line of each input graph, unparsed; blank lines are skipped.
 
     Each record worker parses its own line with _parse_line, so a pool
     parses every line once, in the worker that uses it.
     """
     if cfg.construct is not None:
-        try:
-            g = construction_by_name(cfg.construct)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        yield to_graph6(g)
-        return
-    stream = open(cfg.in_path) if cfg.in_path else sys.stdin
-    try:
-        for line in stream:
-            text = line.strip()
-            if text:
-                yield text
-    finally:
-        if cfg.in_path:
-            stream.close()
+        return [to_graph6(construction_by_name(cfg.construct))]
+    if not cfg.in_path:
+        lines = sys.stdin.readlines()
+    else:
+        with open(cfg.in_path) as stream:
+            lines = stream.readlines()
+    return [text for text in map(str.strip, lines) if text]
 
 
 def _parse_line(text: str) -> tuple[Graph, str]:
@@ -113,7 +102,7 @@ def _parse_line(text: str) -> tuple[Graph, str]:
     try:
         return parse_graph6(text), text.removeprefix(HEADER)
     except ValueError as exc:
-        raise InputError(f"bad graph6 line {text!r}: {exc}")
+        raise ValueError(f"bad graph6 line {text!r}: {exc}")
 
 
 def _record_base(g: Graph, g6: str, spec: CliqueVector, facts) -> dict:
@@ -132,12 +121,6 @@ def _record_base(g: Graph, g6: str, spec: CliqueVector, facts) -> dict:
         "lemmas": [],
         "stats": {},
     }
-
-
-def _worse_exit(a: int, b: int) -> int:
-    # Theorem failures outrank budget truncation, which outranks success.
-    order = {EXIT_OK: 0, EXIT_INDETERMINATE: 1, EXIT_ASSERTION_FAILED: 2}
-    return a if order.get(a, 0) >= order.get(b, 0) else b
 
 
 def _usable_cpus() -> int:
@@ -186,10 +169,10 @@ def _stream_records(cfg: argparse.Namespace, record) -> list:
     stops the run before any record is emitted.
     """
     fn = partial(_in_block, record, cfg)
-    return ordered_map(fn, list(load_inputs(cfg)), cfg.workers)
+    return ordered_map(fn, load_inputs(cfg), cfg.workers)
 
 
-def _arrow_record(cfg: argparse.Namespace, line: str, _ledger) -> tuple[dict, int]:
+def _arrow_record(cfg: argparse.Namespace, line: str, _ledger) -> tuple[str, int]:
     g, g6 = _parse_line(line)
     verdict = arrows(g, cfg.spec)
     record = _record_base(g, g6, cfg.spec, graph_facts(g, cfg.spec))
@@ -198,10 +181,10 @@ def _arrow_record(cfg: argparse.Namespace, line: str, _ledger) -> tuple[dict, in
     if verdict.witness is not None:
         record["witness"] = serialize_coloring(verdict.witness)
     code = EXIT_INDETERMINATE if verdict.arrows is None else EXIT_OK
-    return record, code
+    return json.dumps(record) + "\n", code
 
 
-def _cocritical_record(cfg: argparse.Namespace, line: str, ledger) -> tuple[dict, int]:
+def _cocritical_record(cfg: argparse.Namespace, line: str, ledger) -> tuple[str, int]:
     g, g6 = _parse_line(line)
     spec = cfg.spec
     report = is_cocritical(g, spec)
@@ -225,7 +208,7 @@ def _cocritical_record(cfg: argparse.Namespace, line: str, ledger) -> tuple[dict
         except NodeLimitExceeded:
             code = EXIT_INDETERMINATE
     record["stats"] = {"nodes": ledger.nodes}
-    return record, code
+    return json.dumps(record) + "\n", code
 
 
 def _scan_graph(cfg: argparse.Namespace, line: str, _ledger):
@@ -233,7 +216,7 @@ def _scan_graph(cfg: argparse.Namespace, line: str, _ledger):
     # A co-critical graph's record needs its canonical form, so check the
     # size before the search rather than fail only on some verdicts.
     if g.n > CANONICAL_MAX_VERTICES:
-        raise InputError(
+        raise ValueError(
             f"scan supports at most {CANONICAL_MAX_VERTICES} vertices, "
             f"got {g.n} in {line!r}"
         )
@@ -298,7 +281,7 @@ def cmd_scan(cfg: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def _saturated_record(cfg: argparse.Namespace, line: str, _ledger) -> tuple[dict, int]:
+def _saturated_record(cfg: argparse.Namespace, line: str, _ledger) -> tuple[str, int]:
     g, g6 = _parse_line(line)
     report = is_saturated(g, cfg.t)
     record = {
@@ -317,9 +300,10 @@ def _saturated_record(cfg: argparse.Namespace, line: str, _ledger) -> tuple[dict
         "edges": g.edge_count,
     }
     failed = report.is_saturated and not report.hajnal_holds
-    return record, EXIT_ASSERTION_FAILED if failed else EXIT_OK
+    return json.dumps(record) + "\n", EXIT_ASSERTION_FAILED if failed else EXIT_OK
 
 
+# Each returns its JSON output line and exit code, so pool workers serialise.
 RECORDS = {
     "arrow": _arrow_record,
     "cocritical": _cocritical_record,
@@ -327,20 +311,11 @@ RECORDS = {
 }
 
 
-def _record_line(record, cfg: argparse.Namespace, line: str, ledger) -> tuple[str, int]:
-    """The record's output line, so a pool worker serialises it."""
-    fields, code = record(cfg, line, ledger)
-    return json.dumps(fields) + "\n", code
-
-
 def cmd_records(cfg: argparse.Namespace, out) -> int:
     """Emit one record per input graph; exit with the worst record's code."""
-    exit_code = EXIT_OK
-    record = partial(_record_line, RECORDS[cfg.subcommand])
-    for text, code in _stream_records(cfg, record):
-        exit_code = _worse_exit(exit_code, code)
-        out.write(text)
-    return exit_code
+    results = _stream_records(cfg, RECORDS[cfg.subcommand])
+    out.writelines(text for text, _ in results)
+    return max((code for _, code in results), key=SEVERITY.index, default=EXIT_OK)
 
 
 def run(argv, out) -> int:
@@ -348,7 +323,7 @@ def run(argv, out) -> int:
         cfg = parse_config(argv)
         handler = cmd_scan if cfg.subcommand == "scan" else cmd_records
         return handler(cfg, out)
-    except (InputError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

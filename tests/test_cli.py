@@ -14,7 +14,7 @@ from conftest import small_graphs
 from oracles import cycle_graph
 import rck
 from rck.cli import EXIT_INDETERMINATE, EXIT_INPUT_ERROR, EXIT_OK, main, run
-from rck.constructions import k6_minus
+from rck.constructions import construction_by_name, k6_minus
 from rck.graph6 import parse_graph6, to_graph6
 from rck.graphs import complete_graph, empty_graph
 
@@ -33,6 +33,15 @@ def invoke(argv, stdin_text=None):
 
 def records(text):
     return [json.loads(line) for line in text.splitlines() if line]
+
+
+def assert_input_fault(argv, message, capsys, stdin_text=None):
+    """argv exits 2 with no records and the one stderr line `error: message`,
+    with one worker and with two."""
+    for workers in ("1", "2"):
+        code, out = invoke([argv[0], "--workers", workers, *argv[1:]], stdin_text)
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestArrowCommand:
@@ -88,9 +97,10 @@ class TestArrowCommand:
         code, _ = invoke(["arrow", "--spec", "3,3"], stdin_text="not-a-graph\n")
         assert code == EXIT_INPUT_ERROR
 
-    def test_bad_spec_exit_2(self):
-        code, _ = invoke(["arrow", "--spec", "3;3", "--construct", "kn:3"])
-        assert code == EXIT_INPUT_ERROR
+    def test_bad_spec_exit_2(self, capsys):
+        for spec in ("3;3", "3,x"):
+            argv = ["arrow", "--spec", spec, "--construct", "kn:3"]
+            assert_input_fault(argv, f"bad clique vector {spec!r}", capsys)
 
     def test_node_limit_exit_3(self):
         code, out = invoke([
@@ -299,9 +309,12 @@ class TestScanCommand:
             raise AssertionError("is_cocritical called")
 
         monkeypatch.setattr("rck.cli.is_cocritical", no_search)
-        code, out = invoke(["scan", "--spec", "3,4", "--construct", construct])
-        assert (code, out) == (EXIT_INPUT_ERROR, "")
-        assert "scan supports at most 12 vertices, got 13" in capsys.readouterr().err
+        line = to_graph6(construction_by_name(construct))
+        assert_input_fault(
+            ["scan", "--spec", "3,4", "--construct", construct],
+            f"scan supports at most 12 vertices, got 13 in {line!r}",
+            capsys,
+        )
 
     def test_node_limit_marks_indeterminate_and_exits_3(self):
         code, out = invoke([
@@ -361,7 +374,13 @@ class TestWorkerDispatch:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
-        "command", [["scan", "--spec", "3,3"], ["saturated", "--t", "4"]],
+        "command",
+        [
+            ["scan", "--spec", "3,3"],
+            ["saturated", "--t", "4"],
+            ["arrow", "--spec", "3,3"],
+            ["cocritical", "--spec", "3,3"],
+        ],
         ids=lambda command: command[0],
     )
     def test_malformed_line_between_valid_ones(self, command, workers, capsys):
@@ -465,11 +484,12 @@ REMOVED_OPTIONS = [
 
 
 class TestConfig:
-    def test_two_input_sources_rejected(self):
-        code, _ = invoke([
-            "arrow", "--spec", "3,3", "--construct", "kn:3", "--in", "x.g6",
-        ])
-        assert code == EXIT_INPUT_ERROR
+    def test_two_input_sources_rejected(self, capsys):
+        assert_input_fault(
+            ["arrow", "--spec", "3,3", "--construct", "kn:3", "--in", "x.g6"],
+            "choose one input source: --construct or --in",
+            capsys,
+        )
 
     def test_workers_env_is_ignored(self, monkeypatch):
         monkeypatch.setenv("RCK_WORKERS", "many")
@@ -478,24 +498,44 @@ class TestConfig:
         assert records(out)[0]["verdict"] is False
 
     @pytest.mark.parametrize("workers", ["0", "-1"], ids=["flag", "flag-negative"])
-    def test_workers_below_one_rejected(self, workers):
+    def test_workers_below_one_rejected(self, workers, capsys):
         code, out = invoke(["arrow", "--spec", "3,3", "--construct", "kn:3", "--workers", workers])
         assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == "error: worker count must be at least 1\n"
 
     def test_negative_node_limit_rejected(self, capsys):
-        code, out = invoke([
-            "arrow", "--spec", "3,3", "--construct", "kn:6", "--node-limit", "-5",
-        ])
-        assert (code, out) == (EXIT_INPUT_ERROR, "")
-        assert capsys.readouterr().err == "error: node limit must be at least 0\n"
+        for limit in ("-5", "-3"):
+            argv = ["arrow", "--spec", "3,3", "--construct", "kn:6", "--node-limit", limit]
+            assert_input_fault(argv, "node limit must be at least 0", capsys)
 
-    def test_unknown_construction(self):
-        code, _ = invoke(["arrow", "--spec", "3,3", "--construct", "webgraph:9"])
-        assert code == EXIT_INPUT_ERROR
+    def test_unknown_construction(self, capsys):
+        assert_input_fault(
+            ["arrow", "--spec", "3,3", "--construct", "webgraph:9"],
+            "unknown construction 'webgraph:9'",
+            capsys,
+        )
 
-    def test_missing_file(self):
-        code, _ = invoke(["arrow", "--spec", "3,3", "--in", "/nonexistent.g6"])
-        assert code == EXIT_INPUT_ERROR
+    def test_missing_file(self, capsys):
+        assert_input_fault(
+            ["arrow", "--spec", "3,3", "--in", "/nonexistent.g6"],
+            "[Errno 2] No such file or directory: '/nonexistent.g6'",
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "t, stdin_text", [("1", ""), ("1", "Dhc\n"), ("0", ""), ("-5", "Dhc\n")],
+        ids=["1-empty", "1-line", "0-empty", "negative-line"],
+    )
+    def test_clique_target_below_two_rejected(self, t, stdin_text, capsys):
+        # Checked before any input is read, so empty input is rejected too.
+        assert_input_fault(
+            ["saturated", "--t", t], "clique target must be at least 2", capsys, stdin_text
+        )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_smallest_clique_target_accepted(self, workers):
+        code, out = invoke(["saturated", "--t", "2", "--workers", workers], "Dhc\n")
+        assert (code, len(records(out))) == (EXIT_OK, 1)
 
     @pytest.mark.parametrize("argv", [
         pytest.param([*base, *option], id=f"{base[0]}-{option[0].lstrip('-')}")
