@@ -174,11 +174,13 @@ class _Search:
     target clique (forward checking, Haralick & Elliott 1980), bit-parallel
     (San Segundo, Rodriguez-Losada & Jimenez 2011): bit i of can[ell] is set
     while edge i can take color ell, and bit i of can[0] while edge i is
-    uncolored; a colored edge's stale bits are masked with can[0].  assign()
-    clears ell from the edges it newly blocks and reports a wipe-out, an
-    uncolored edge left with no color.  unassign() reverts the edge's color,
-    its color-class bits and the uncolored count; every node that branches
-    copies can, k + 1 integers, first and restores it after each child.
+    uncolored; a colored edge's stale bits are masked with can[0].  free[x]
+    holds the vertices y for which xy is uncolored, so assign() scans only
+    uncolored edges; it clears ell from the edges it newly blocks and
+    reports a wipe-out, an uncolored edge left with no color.  unassign()
+    reverts the edge's color, its color-class and free bits and the
+    uncolored count; every node that branches copies can, k + 1 integers,
+    first and restores it after each child.
 
     color_seed restricts edge 0 to the least color of each group of equal
     targets.  Colors with equal targets are interchangeable, so if any
@@ -193,12 +195,14 @@ class _Search:
     image under the swap of a and b, which exchanges the edges ax and bx for
     each other neighbor x of a.  Every orbit of critical colorings under the
     automorphisms keeps its least word, so verdicts and class-size optima
-    are unchanged; assign() reports a broken constraint as a wipe-out.
+    are unchanged; assign() reports a broken constraint as a wipe-out.  It
+    walks a constraint only once the edge that the swap exchanges with the
+    new one is colored too; until then the walk cannot fail.
     """
 
     __slots__ = (
         "n", "edges", "m", "k", "targets", "adjc", "colors", "uncolored",
-        "nodes", "max_depth", "limit", "can", "rivals", "ebit", "hadj", "lex",
+        "nodes", "max_depth", "limit", "can", "rivals", "ebit", "free", "lex",
     )
 
     def __init__(self, g, spec, *, color_seed=False, twins=False):
@@ -215,7 +219,8 @@ class _Search:
         self.max_depth = 0
         budget = _budget.get()
         self.limit = None if budget is None else budget.start(self)
-        self.hadj = g.adj
+        # free[x]: the vertices y for which xy is an uncolored edge.
+        self.free = list(g.adj)
         # ebit[u][v] is the bit of edge uv in the edge masks.
         self.ebit = [[0] * self.n for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
@@ -229,8 +234,9 @@ class _Search:
             elif color_seed and t in spec.sizes[: ell - 1]:
                 self.can[ell] &= ~1
         # lex[i] lists, for each twin swap that moves edge i, the moved edge
-        # pairs (ax, bx) by increasing x.  Both edges of a pair sort by their
-        # other endpoint x, so the pairs are in edge order.
+        # pairs (ax, bx) by increasing x, and the edge the swap exchanges
+        # with i.  Both edges of a pair sort by their other endpoint x, so
+        # the pairs are in edge order.
         self.lex = None
         twin_list = twin_pairs(g) if twins else []
         if twin_list:
@@ -243,8 +249,8 @@ class _Search:
                     for x in bits(others)
                 )
                 for i, j in pairs:
-                    self.lex[i].append(pairs)
-                    self.lex[j].append(pairs)
+                    self.lex[i].append((pairs, j))
+                    self.lex[j].append((pairs, i))
 
     def select(self) -> int:
         """Uncolored edge with the fewest feasible colors, lowest index on ties.
@@ -271,15 +277,24 @@ class _Search:
         """The edges of live, among the xy with y in pairs, that would close a
         K_{t_ell} through the new edge uv of color ell.  within holds the
         vertices joined in color ell to u, v and x, so the other need
-        vertices of such a clique lie in within & a[y]."""
+        vertices of such a clique lie in within & a[y]; with need <= 0 every
+        such edge closes one."""
         row = self.ebit[x]
         blocked = 0
+        if need <= 0:
+            while pairs:
+                low = pairs & -pairs
+                blocked |= row[low.bit_length() - 1]
+                pairs ^= low
+            return blocked & live
         while pairs:
             low = pairs & -pairs
             y = low.bit_length() - 1
             pairs ^= low
             b = row[y]
-            if live & b and (need <= 0 or mask_has_clique(a, within & a[y], need)):
+            if live & b and (
+                within & a[y] if need == 1 else mask_has_clique(a, within & a[y], need)
+            ):
                 blocked |= b
         return blocked
 
@@ -289,7 +304,8 @@ class _Search:
         Only two kinds of uncolored edge xy can gain a K_{t_ell} through the
         new edge uv: those sharing an endpoint with it (x = u and vy already
         in color ell, or the reverse), and for t_ell >= 4 those inside the
-        common ell-neighborhood of u and v.  Only edges that can still take
+        common ell-neighborhood of u and v.  Each scan visits only the
+        uncolored edges, through free, and only edges that can still take
         ell are tested, so a colored edge never pays a clique test.  Then
         each lex-leader constraint on edge i is checked.
         """
@@ -298,22 +314,31 @@ class _Search:
         can[0] ^= 1 << i
         self.colors[i] = ell
         self.uncolored -= 1
+        bu = 1 << u
+        bv = 1 << v
+        free = self.free
+        free[u] ^= bv
+        free[v] ^= bu
         a = self.adjc[ell]
-        a[u] |= 1 << v
-        a[v] |= 1 << u
+        a[u] |= bv
+        a[v] |= bu
         need = self.targets[ell - 1] - 3
         common = a[u] & a[v]
-        hadj = self.hadj
         live = can[ell] & can[0]
-        blocked = self._block(live, a, a[v] & hadj[u], u, common, need)
-        blocked |= self._block(live, a, a[u] & hadj[v], v, common, need)
+        blocked = 0
+        pairs = a[v] & free[u]
+        if pairs:
+            blocked = self._block(live, a, pairs, u, common, need)
+        pairs = a[u] & free[v]
+        if pairs:
+            blocked |= self._block(live, a, pairs, v, common, need)
         if need >= 1:
             rest = common
             while rest:
                 low = rest & -rest
                 x = low.bit_length() - 1
                 rest ^= low
-                pairs = rest & hadj[x]
+                pairs = rest & free[x]
                 if pairs:
                     blocked |= self._block(live, a, pairs, x, common & a[x], need - 1)
         if blocked:
@@ -328,10 +353,17 @@ class _Search:
         """True iff the colors decided so far break a constraint moving edge i.
 
         The first moved pair whose colors differ decides the comparison, so
-        each walk stops at the first pair that is undecided or unequal.
+        each walk stops at the first pair that is undecided or unequal.  A
+        constraint whose partner, the edge it exchanges with i, is still
+        uncolored is skipped.  The pairs before i's pair did not change, and
+        searches continue only from states where no walk failed, so those
+        pairs break nothing; at i's pair one color is now decided and the
+        other is not, so the walk would stop there without a violation.
         """
         colors = self.colors
-        for pairs in self.lex[i]:
+        for pairs, partner in self.lex[i]:
+            if not colors[partner]:
+                continue
             for p, q in pairs:
                 cp = colors[p]
                 cq = colors[q]
@@ -349,9 +381,14 @@ class _Search:
         u, v = self.edges[i]
         self.colors[i] = 0
         self.uncolored += 1
+        bu = 1 << u
+        bv = 1 << v
+        free = self.free
+        free[u] ^= bv
+        free[v] ^= bu
         a = self.adjc[ell]
-        a[u] &= ~(1 << v)
-        a[v] &= ~(1 << u)
+        a[u] ^= bv
+        a[v] ^= bu
 
     def tick(self) -> None:
         self.nodes += 1

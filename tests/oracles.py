@@ -9,7 +9,8 @@ plain arrows calls, without any of is_cocritical's shortcuts.  The fixtures
 at the end build paths, cycles and relabelings.  reference_canonical_search
 is the column-list canonical search that rck's mask search replaced;
 canonical_permutation reads its vertex order, as the reference for the
-form's graph6 packing.
+form's graph6 packing.  breaks_lex_leader is the full lex-leader walk that
+the search's skip of undecided pairs replaced.
 """
 
 from __future__ import annotations
@@ -171,6 +172,42 @@ def completes_clique(class_adj: list[int], t: int, u: int, v: int) -> bool:
         all(class_adj[a] >> b & 1 for a, b in combinations(combo, 2))
         for combo in combinations(common, t - 2)
     )
+
+
+def twin_swap_images(g: Graph) -> list[list[int]]:
+    """For each pair (a, b) of twin_pairs(g), the edge permutation of the
+    swap of a and b: entry e is the index of the image of edge e."""
+    index = {e: j for j, e in enumerate(g.edges)}
+    images = []
+    for a, b in twin_pairs(g):
+        swap = list(range(g.n))
+        swap[a], swap[b] = b, a
+        images.append([index[tuple(sorted((swap[u], swap[v])))] for u, v in g.edges])
+    return images
+
+
+def breaks_lex_leader(images: list[list[int]], colors, i: int) -> bool:
+    """True iff the colors decided so far (0 marks an uncolored edge) break
+    the lex-leader constraint of some swap in images that moves edge i.
+
+    The full walk, from the definition: the color word must be at most its
+    image under the swap.  Read in edge order, edges the swap fixes equal
+    their image; the first moved edge whose color is not decided and equal
+    to its image's decides, and breaks the constraint iff both are decided
+    and the edge's color is the greater.
+    """
+    for image in images:
+        if image[i] == i:
+            continue
+        for e, f in enumerate(image):
+            if e == f:
+                continue
+            ce, cf = colors[e], colors[f]
+            if not ce or not cf or ce != cf:
+                if ce > cf > 0:
+                    return True
+                break
+    return False
 
 
 def brute_is_saturated(g: Graph, t: int) -> bool:

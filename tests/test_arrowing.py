@@ -5,16 +5,18 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
 from oracles import (
     all_critical_words,
+    breaks_lex_leader,
     brute_arrows,
     brute_extremal_class_size,
     completes_clique,
     cycle_graph,
+    twin_swap_images,
 )
 from rck.arrowing import (
     _Search,
@@ -396,6 +398,67 @@ class TestSymmetryBreaking:
             else:
                 assert on == self.outcomes(g, spec, False), g.adj
 
+    def test_lex_skip_matches_the_full_walk(self, corpus):
+        """assign() walks a constraint only once i's partner is colored; a
+        search that also makes the full walk after every assign must get
+        the same wipe-out verdict from it."""
+
+        class FullWalk(_Search):
+            __slots__ = ("images",)
+
+            def assign(self, i, ell):
+                wiped = super().assign(i, ell)
+                full = breaks_lex_leader(self.images, self.colors, i)
+                forward = any(
+                    not mask for j, mask in enumerate(masks(self)) if not self.colors[j]
+                )
+                assert wiped == (forward or full), (i, self.colors)
+                assert self._breaks_lex_order(i) == full, (i, self.colors)
+                return wiped
+
+        graphs = [(complete_graph(n), spec) for n in range(5, 10) for spec in (S33, S34)]
+        graphs += [(hanson_toft(S34, n), S34) for n in (9, 10)]
+        graphs += [(g, S33) for n in range(1, 8) for g in corpus[n] if twin_pairs(g)]
+        for g, spec in graphs:
+            images = twin_swap_images(g)
+            for color_seed, run in (
+                (True, lambda s: s.decide()),
+                (False, lambda s: s.optimum(1, True)),
+                (False, lambda s: s.optimum(spec.k, False)),
+            ):
+                s = FullWalk(g, spec, color_seed=color_seed, twins=True)
+                s.images = images
+                run(s)
+
+    # Graphs with many twin pairs, and random ones, some with none.
+    TWIN_GRAPHS = st.one_of(
+        st.lists(st.integers(1, 3), min_size=2, max_size=4).map(complete_multipartite_graph),
+        small_graphs(min_n=4, max_n=8),
+        small_graphs(min_n=4, max_n=8).map(complement),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(TWIN_GRAPHS, st.sampled_from((S33, S34)), st.data())
+    def test_lex_skip_matches_the_full_walk_in_any_order(self, g, spec, data):
+        # Edges colored in a drawn order; a wiped-out assign is undone at
+        # once, as the searches do.
+        s = _Search(g, spec, twins=True)
+        assume(s.lex is not None)
+        images = twin_swap_images(g)
+        for _ in range(data.draw(st.integers(0, s.m))):
+            dom = masks(s)
+            open_edges = [i for i in range(s.m) if dom[i]]
+            if not open_edges:
+                break
+            i = data.draw(st.sampled_from(open_edges))
+            ell = data.draw(st.sampled_from([c for c in range(1, s.k + 1) if dom[i] >> c & 1]))
+            saved = s.can[:]
+            wiped = s.assign(i, ell)
+            assert s._breaks_lex_order(i) == breaks_lex_leader(images, s.colors, i)
+            if wiped:
+                s.unassign(i)
+                s.can[:] = saved
+
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(min_n=2, max_n=5, max_edges=12))
     def test_seeding_preserves_verdicts(self, g):
@@ -405,7 +468,7 @@ class TestSymmetryBreaking:
 
 
 def _search_state(s: _Search):
-    return list(s.can), [list(a) for a in s.adjc], list(s.colors), s.uncolored
+    return list(s.can), [list(a) for a in s.adjc], list(s.colors), s.uncolored, list(s.free)
 
 
 class TestSearchCore:
@@ -424,6 +487,12 @@ class TestSearchCore:
         least = [ell for ell, t in enumerate(targets, 1) if targets.index(t) == ell - 1]
         assert s.can[0] == sum(1 << i for i in range(s.m) if not s.colors[i])
         assert s.uncolored == s.can[0].bit_count()
+        free = [0] * s.n
+        for i, (u, v) in enumerate(s.edges):
+            if not s.colors[i]:
+                free[u] |= 1 << v
+                free[v] |= 1 << u
+        assert s.free == free
         got = masks(s)
         for i, (u, v) in enumerate(s.edges):
             if s.colors[i]:
@@ -609,6 +678,15 @@ class TestGateInstances:
     def test_k14_arrows_for_3_5(self):
         verdict = arrows(complete_graph(14), S35)
         assert (verdict.arrows, verdict.stats.nodes, verdict.stats.max_depth) == (True, 7873, 71)
+
+    def test_k16_does_not_arrow_for_4_4(self):
+        # The only gate instance past 45 edges.
+        verdict = arrows(complete_graph(16), CliqueVector((4, 4)))
+        assert (verdict.arrows, verdict.stats.nodes, verdict.stats.max_depth) == (False, 109340, 120)
+        assert verdict.witness.word() == (
+            "111111112222222111222211112222211221122112212121212221212122"
+            "111212212122121122212112112212122121211221111112122211122211"
+        )
 
     # Per n: the words for (color 2, max), (color 1, min) and (color 1, max).
     # Colors 1 and 2 split every critical coloring's edges, so the first two
