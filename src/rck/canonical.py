@@ -27,7 +27,7 @@ CANONICAL_MAX_VERTICES = 12
 _HIGH = 1 << 40  # sentinel larger than any column value
 
 
-def refinement_classes(g: Graph) -> list[int]:
+def refinement_classes(g: Graph, *, watch: int | None = None) -> list[int] | None:
     """Stable per-vertex class ids from iterated degree refinement.
 
     Ids are ranks of sorted signatures, so they are invariant under
@@ -38,6 +38,12 @@ def refinement_classes(g: Graph) -> list[int]:
     int of fixed-width fields, the class highest and then n minus each
     count, so integer order is that lexicographic order.  A vertex alone in
     its class cannot split, so its key is its class field alone.
+
+    With watch given, the result is None as soon as a round leaves vertex
+    watch outside class 0, and the classes otherwise.  A round ranks by the
+    previous class first, so class 0 only shrinks from round to round and
+    watch never returns to it: None exactly when
+    refinement_classes(g)[watch] != 0.
     """
     n = g.n
     adj = g.adj
@@ -46,6 +52,8 @@ def refinement_classes(g: Graph) -> list[int]:
     colors = [rank[d] for d in degrees]
     width = n.bit_length()  # every field value lies in 0..n
     while True:
+        if watch is not None and colors[watch]:
+            return None
         k = len(rank)
         if k == n:
             return colors
@@ -69,14 +77,15 @@ def refinement_classes(g: Graph) -> list[int]:
 
 
 def _search(
-    g: Graph, *, classes: list[int] | None = None
+    g: Graph, *, classes: list[int] | None = None, swaps: bool = True
 ) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     """(columns, vertices, automorphisms) of the canonical relabeling.
 
     columns[j] is the adjacency column of position j+1 against positions
     0..j, first row in the most significant bit (graph6 bit order), and
     vertices[i] is the vertex at position i.  classes, when given, must be
-    refinement_classes(g).
+    refinement_classes(g).  With swaps false the automorphisms leave out
+    the twin swaps, for a caller that reads only the columns.
     """
     if g.n > CANONICAL_MAX_VERTICES:
         raise ValueError(
@@ -86,16 +95,13 @@ def _search(
     adj = g.adj
     colors = refinement_classes(g) if classes is None else classes
     order = sorted(range(n), key=colors.__getitem__)  # class order, then vertex
-    # Swapping twins is an automorphism, so each level tries one vertex of
-    # each twin class.
     pairs = twin_pairs(g)
-    twin = list(range(n))  # the least member of v's twin class
     automorphisms = []
-    for a, b in pairs:
-        twin[b] = twin[a]
-        swap = list(range(n))
-        swap[a], swap[b] = b, a
-        automorphisms.append(tuple(swap))
+    if swaps:
+        for a, b in pairs:
+            swap = list(range(n))
+            swap[a], swap[b] = b, a
+            automorphisms.append(tuple(swap))
     if len(pairs) == n - 1 - max(colors):
         # Twin classes lie inside refinement classes, so as many twin
         # classes (n minus the pairs) as refinement classes means every
@@ -113,6 +119,11 @@ def _search(
                 col = col << 1 | row >> u & 1
             columns.append(col)
         return columns, order, automorphisms
+    # Swapping twins is an automorphism, so each level tries one vertex of
+    # each twin class.
+    twin = list(range(n))  # the least member of v's twin class
+    for a, b in pairs:
+        twin[b] = twin[a]
     masks = [0] * n
     for v, t in enumerate(twin):
         masks[t] |= 1 << v
@@ -191,12 +202,15 @@ def _search(
     return best, best_perm, automorphisms
 
 
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+def automorphism_generators(
+    g: Graph, *, classes: list[int] | None = None
+) -> list[tuple[int, ...]]:
     """Automorphisms of g (sigma[v] is the image of v): the twin swaps and
     one per tied leaf of the canonical search.  They generate a subgroup of
     Aut(g), not always all of it; when every refinement class of g is one
-    twin class they are the twin swaps alone and generate all of Aut(g)."""
-    return _search(g)[2]
+    twin class they are the twin swaps alone and generate all of Aut(g).
+    classes, when given, must be refinement_classes(g)."""
+    return _search(g, classes=classes)[2]
 
 
 def canonical_form(g: Graph, *, classes: list[int] | None = None) -> str:
@@ -204,6 +218,6 @@ def canonical_form(g: Graph, *, classes: list[int] | None = None) -> str:
     packed from the search's winning columns.  classes, when given, must be
     refinement_classes(g); a caller that has refined g already passes it."""
     word = 0
-    for j, col in enumerate(_search(g, classes=classes)[0]):
+    for j, col in enumerate(_search(g, classes=classes, swaps=False)[0]):
         word = word << (j + 1) | col
     return pack_graph6(g.n, word)

@@ -10,7 +10,9 @@ at the end build paths, cycles and relabelings.  reference_canonical_search
 is the column-list canonical search that rck's mask search replaced;
 canonical_permutation reads its vertex order, as the reference for the
 form's graph6 packing.  breaks_lex_leader is the full lex-leader walk that
-the search's skip of undecided pairs replaced.
+the search's skip of undecided pairs replaced.  reference_orbit_representatives
+is the mask scan and orbit closure that graphs_up_to used for every parent
+before twin-generated parents took the prefixes of their twin classes.
 """
 
 from __future__ import annotations
@@ -414,3 +416,31 @@ def reference_canonical_search(g: Graph) -> tuple[list[int], list[int], list[tup
     place(0, [0] * n, 0)
     assert best_perm is not None
     return best, best_perm, automorphisms
+
+
+def reference_orbit_representatives(g: Graph) -> list[int]:
+    """The first mask of each orbit, in increasing order, of the masks under
+    which a new vertex joined to the mask has minimum degree.  The orbits are
+    closed under the automorphisms reference_canonical_search reports."""
+    degs = [a.bit_count() for a in g.adj]
+    delta = min(degs)
+    low = sum(1 << v for v, dv in enumerate(degs) if dv == delta)
+    images = [[1 << s for s in sigma] for sigma in reference_canonical_search(g)[2]]
+    seen: set[int] = set()
+    representatives = []
+    for mask in range(1 << g.n):
+        d = mask.bit_count()
+        if mask in seen or d > delta and (d > delta + 1 or mask & low != low):
+            continue
+        orbit = [mask]
+        seen.add(mask)
+        for x in orbit:
+            for image in images:
+                y = 0
+                for v in bits(x):
+                    y |= image[v]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        representatives.append(mask)
+    return representatives

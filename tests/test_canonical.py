@@ -150,6 +150,14 @@ def test_class_zero_holds_only_minimum_degree_vertices(g):
 
 
 @settings(max_examples=200, deadline=None)
+@given(small_graphs(min_n=1, max_n=12))
+def test_watched_refinement_stops_once_the_vertex_leaves_class_zero(g):
+    classes = refinement_classes(g)
+    for v in range(g.n):
+        assert refinement_classes(g, watch=v) == (classes if classes[v] == 0 else None)
+
+
+@settings(max_examples=200, deadline=None)
 @given(small_graphs(min_n=1, max_n=12), st.randoms(use_true_random=False))
 def test_class_ids_move_with_a_relabeling(g, rng):
     perm = list(range(g.n))

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from rck.canonical import canonical_form
-from rck.enumerate_graphs import graphs_up_to
+from oracles import reference_orbit_representatives
+from rck.canonical import canonical_form, refinement_classes
+from rck.enumerate_graphs import _extend, _orbit_representatives, graphs_up_to
 from rck.graph6 import parse_graph6, to_graph6
-from rck.graphs import Graph, degree_stats, from_edges
+from rck.graphs import Graph, degree_stats, from_edges, twin_pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS8 = ROOT / "perfbench" / "data" / "graphs8.g6"
@@ -159,3 +160,40 @@ def test_only_the_seed_graph_is_validated(monkeypatch):
     levels = graphs_up_to(6)
     assert calls == 1
     assert [len(levels[n]) for n in range(1, 7)] == [KNOWN_COUNTS[n] for n in range(1, 7)]
+
+
+def test_representatives_match_the_mask_scan_and_orbit_closure(corpus):
+    # Twin-generated parents take the prefixes of their twin classes; the
+    # others close orbits under the search's automorphisms.  Both must give
+    # the reference's set on every parent of the levels up to 8.
+    twin_generated = 0
+    for n in range(1, 8):
+        for g in corpus[n]:
+            classes = refinement_classes(g)
+            twin_generated += len(twin_pairs(g)) == n - 1 - max(classes)
+            assert sorted(_orbit_representatives(g, classes)) == reference_orbit_representatives(g)
+    assert twin_generated == 823
+
+
+def test_carried_classes_are_the_refinement_of_each_decoded_graph():
+    level, classes = [Graph(1, (0,))], [[0]]
+    for _ in range(2, 9):
+        level, classes = _extend(level, classes, carry=True)
+        assert classes == [refinement_classes(g) for g in level]
+    assert len(level) == KNOWN_COUNTS[8]
+
+
+def test_early_class_zero_verdict_matches_the_full_refinement(corpus):
+    # Every child graphs_up_to(8) builds: the new vertex is the last one.
+    children = discarded = 0
+    for n in range(1, 8):
+        for g in corpus[n]:
+            for mask in _orbit_representatives(g, refinement_classes(g)):
+                adj = [a | (mask >> v & 1) << n for v, a in enumerate(g.adj)]
+                child = Graph(n + 1, (*adj, mask))
+                full = refinement_classes(child)
+                early = refinement_classes(child, watch=n)
+                assert early == (full if full[-1] == 0 else None)
+                children += 1
+                discarded += early is None
+    assert (children, discarded) == (19911, 6287)
