@@ -21,7 +21,9 @@ from .arrowing import (
     CliqueVector, NodeLimitExceeded, arrows, node_budget, serialize_coloring,
 )
 from .canonical import CANONICAL_MAX_VERTICES, canonical_form
-from .cocritical import graph_facts, is_cocritical, is_minimal_cocritical, lemma_suite
+from .cocritical import (
+    graph_facts, is_cocritical, is_minimal_cocritical, lemma_suite, meets_hanson_toft,
+)
 from .constructions import construction_by_name, sharp_mindeg_bound
 from .graph6 import HEADER, parse_graph6, to_graph6
 from .graphs import Graph, degree_stats
@@ -188,10 +190,11 @@ def _cocritical_record(cfg: argparse.Namespace, line: str, ledger) -> tuple[str,
     g, g6 = _parse_line(line)
     spec = cfg.spec
     report = is_cocritical(g, spec)
-    record = _record_base(g, g6, spec, (report.delta, report.chi, report.ht_bound))
+    facts = graph_facts(g, spec)
+    record = _record_base(g, g6, spec, facts)
     record["verdict"] = report.is_cocritical
     record["failing_edge"] = list(report.failing_edge) if report.failing_edge else None
-    record["meets_ht"] = report.meets_ht
+    record["meets_ht"] = meets_hanson_toft(g, facts[2])
     record["minimal"] = None
     if report.base_witness is not None:
         record["witness"] = serialize_coloring(report.base_witness)

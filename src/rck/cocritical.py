@@ -52,8 +52,11 @@ class CocriticalReport(
     )
 ):
     """Per-graph verdict bundle; is_cocritical None means budget ran out.
-    failing_edge, base_witness, chi, ht_bound and meets_ht may be None.
-    nodes counts the verdict's searches only, not a later lemma suite."""
+    failing_edge and base_witness may be None.  delta, chi and ht_bound
+    (graph_facts) and meets_ht (meets_hanson_toft) are set for a co-critical
+    verdict only and are None otherwise; chi, ht_bound and meets_ht may be
+    None even then.  nodes counts the verdict's searches only, not a later
+    lemma suite."""
 
     __slots__ = ()
 
@@ -82,6 +85,11 @@ def graph_facts(g: Graph, spec: CliqueVector) -> tuple[int, int | None, int | No
     return degree_stats(g)[0], chi, ht_bound
 
 
+def meets_hanson_toft(g: Graph, ht_bound: int | None) -> bool | None:
+    """Whether g has at least ht_bound edges; None when there is no bound."""
+    return None if ht_bound is None else g.edge_count >= ht_bound
+
+
 def is_cocritical(g: Graph, spec: CliqueVector, *, workers: int = 1) -> CocriticalReport:
     """Definitional co-criticality check.
 
@@ -101,12 +109,17 @@ def is_cocritical(g: Graph, spec: CliqueVector, *, workers: int = 1) -> Cocritic
     e* is the failing edge.  All these searches draw on the enclosing
     node_budget; the verdict is None when it runs out, even after a
     witness was found.  workers is accepted for compatibility and unused.
+
+    Only a co-critical report carries graph_facts and meets_hanson_toft, so
+    chromatic_number runs for no other graph.
     """
-    delta, chi, ht_bound = graph_facts(g, spec)
-    meets_ht = (g.edge_count >= ht_bound) if ht_bound is not None else None
 
     def report(verdict, failing=None, witness=None, nodes=0):
-        return CocriticalReport(verdict, failing, witness, delta, chi, ht_bound, meets_ht, nodes)
+        facts = (None, None, None, None)
+        if verdict:
+            delta, chi, ht_bound = graph_facts(g, spec)
+            facts = (delta, chi, ht_bound, meets_hanson_toft(g, ht_bound))
+        return CocriticalReport(verdict, failing, witness, *facts, nodes)
 
     if g.is_complete() or holds_ramsey_clique(g, spec):
         return report(False)
@@ -358,7 +371,8 @@ def lemma_suite(g: Graph, spec: CliqueVector) -> list[LemmaFinding]:
     The checks run on the sorted spec, since co-criticality does not depend
     on the order of the targets.  They need a standard sorted spec
     (CliqueVector.is_standard); otherwise there are no findings.  The
-    chromatic bound runs when r(spec) is known and graph_facts reports chi.
+    chromatic bound runs when r(spec) is known and g has at most
+    CHROMATIC_MAX_VERTICES vertices.
     Raises NodeLimitExceeded if the node_budget runs out.
     """
     findings: list[LemmaFinding] = []

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,10 +14,13 @@ from hypothesis import strategies as st
 from conftest import small_graphs
 from oracles import cycle_graph
 import rck
+from rck.arrowing import CliqueVector
+from rck.canonical import canonical_form
 from rck.cli import EXIT_INDETERMINATE, EXIT_INPUT_ERROR, EXIT_OK, main, run
-from rck.constructions import construction_by_name, k6_minus
+from rck.cocritical import graph_facts
+from rck.constructions import construction_by_name, hanson_toft, k6_minus
 from rck.graph6 import parse_graph6, to_graph6
-from rck.graphs import complete_graph, empty_graph
+from rck.graphs import complete_graph, empty_graph, join
 
 
 def invoke(argv, stdin_text=None):
@@ -164,6 +168,30 @@ class TestCocriticalCommand:
         assert k6["chi"] == 6 and k6["stats"] == {"nodes": 0}
         assert list(k6) == list(c5)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("spec", ["3,3", "3,4"])
+    def test_record_facts_are_graph_facts(self, spec, workers):
+        # Every record prints graph_facts, whatever its verdict: C5 (refuted
+        # by the witness), K6 (complete), K6 + 2K1 (holds K_r), K6-e
+        # (co-critical for (3,3)) and HT(3,3) n=17 (chi unknown).
+        graphs = [
+            cycle_graph(5), complete_graph(6), join(complete_graph(6), empty_graph(2)),
+            k6_minus(), hanson_toft(CliqueVector((3, 3)), 17),
+        ]
+        stream = "".join(to_graph6(g) + "\n" for g in graphs)
+        code, out = invoke(["cocritical", "--spec", spec, "--workers", workers], stream)
+        assert code == EXIT_OK
+        recs = records(out)
+        assert len(recs) == len(graphs)
+        for g, rec in zip(graphs, recs):
+            delta, chi, ht_bound = graph_facts(g, CliqueVector.parse(spec))
+            assert (rec["delta"], rec["chi"], rec["ht_bound"]) == (delta, chi, ht_bound)
+            meets = None if ht_bound is None else rec["edges"] >= ht_bound
+            assert rec["meets_ht"] is meets
+        if spec == "3,3":
+            assert [rec["verdict"] for rec in recs] == [False, False, False, True, True]
+            assert recs[-1]["chi"] is None and recs[-1]["meets_ht"] is True
+
     def test_target_order_does_not_matter_for_lemmas(self):
         lemmas = []
         for spec in ("3,4", "4,3"):
@@ -298,6 +326,27 @@ class TestScanCommand:
         assert code == EXIT_OK
         (summary,) = records(out)
         assert (summary["delta_bound"], summary["delta_ok"]) == (7, True)
+
+    def test_chromatic_number_only_for_cocritical_graphs(self, corpus, monkeypatch):
+        # chi is printed for no scanned graph: each co-critical graph pays
+        # one call for its report's facts and one for Lemma 1.2, the others
+        # none.
+        import rck.cocritical
+
+        called = []
+        chromatic_number = rck.cocritical.chromatic_number
+
+        def counting(g):
+            called.append(canonical_form(g))
+            return chromatic_number(g)
+
+        monkeypatch.setattr(rck.cocritical, "chromatic_number", counting)
+        stream = "".join(to_graph6(g) + "\n" for n in range(1, 8) for g in corpus[n])
+        code, out = invoke(["scan", "--spec", "3,3", "--workers", "1"], stream)
+        assert code == EXIT_OK
+        (summary,) = records(out)
+        assert summary["cocritical"] >= 2
+        assert sorted(called) == sorted(2 * summary["cocritical_canonical"])
 
     @pytest.mark.parametrize("construct", ["hanson-toft:3,4:13", "kn:13"])
     def test_graph_past_the_canonical_limit_rejected_before_search(
@@ -588,3 +637,41 @@ class TestConsoleEntry:
         rec = json.loads(proc.stdout)
         assert rec["verdict"] is False
         assert rec["witness"] is not None
+
+
+class TestPinnedOutput:
+    """stdout and exit code of a fixed list of commands, pinned at f2fb156.
+
+    A change that claims only speed must leave these bytes alone.  The
+    stream is every graph on 1..6 vertices, 208 graph6 lines in sorted
+    order, so the pins do not depend on the enumeration order.
+    """
+
+    PINS = [
+        (["cocritical", "--spec", "3,3"],
+         "8a72d4b5fa034388b8f89eb1efc81d0c29fc9ba25048407cfdc1596703ec03b0"),
+        (["cocritical", "--spec", "3,4"],
+         "79892f42aa7c9b8a3d7651ddd71ac683c22856136d7b20bf2f421168b4625164"),
+        (["scan", "--spec", "3,3"],
+         "4f5745a81aa10cb8b4d42f1472cfec9197500856715c8ea9279d6fceff92fc4c"),
+        (["arrow", "--spec", "3,4"],
+         "dde0ec4c439617ec1c06a15cba7ae2162d3150ed310506928c732e575b4c2c15"),
+        (["saturated", "--t", "3"],
+         "695ade725fbac07a9404ba5a8790b56902d53a984cb9b899154bef990a9f5c5d"),
+        (["cocritical", "--spec", "3,3", "--construct", "k6minus", "--lemmas", "--minimal"],
+         "4e74adcaa07b53b40fea88562f3e5a0ccc436d1b86abb554dd7c42ce8b314ed7"),
+        (["cocritical", "--spec", "3,4", "--construct", "hanson-toft:3,4:9",
+          "--lemmas", "--minimal"],
+         "2e94dbc912104f4b0f0226d57701743aafbd0da1fe382f1386e440f5ce1e5ac3"),
+    ]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv, digest", PINS, ids=[" ".join(argv) for argv, _ in PINS])
+    def test_output_bytes(self, corpus, argv, digest, workers):
+        stream = None
+        if "--construct" not in argv:
+            lines = sorted(to_graph6(g) + "\n" for n in range(1, 7) for g in corpus[n])
+            assert len(lines) == 208
+            stream = "".join(lines)
+        code, out = invoke(argv + ["--workers", workers], stream)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)

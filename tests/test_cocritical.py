@@ -62,8 +62,11 @@ class TestIsCocritical:
         assert report.is_cocritical is False
         assert report.failing_edge is None and report.base_witness is None
         assert report.nodes == 0
-        assert (report.delta, report.chi, report.ht_bound) == (5, 6, 14)
-        assert report.meets_ht is True
+        assert graph_facts(complete_graph(6), S33) == (5, 6, 14)
+        # Only a co-critical report carries the graph's facts.
+        assert (report.delta, report.chi, report.ht_bound, report.meets_ht) == (
+            None, None, None, None,
+        )
 
     def test_no_hanson_toft_bound_below_r(self):
         # No graph on fewer than r(3,4) = 9 vertices is co-critical.
