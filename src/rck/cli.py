@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 
@@ -27,6 +26,7 @@ from .cocritical import (
 from .constructions import construction_by_name, sharp_mindeg_bound
 from .graph6 import HEADER, parse_graph6, to_graph6
 from .graphs import Graph, degree_stats
+from .parallel import ordered_map
 from .saturation import is_saturated
 
 EXIT_OK = 0
@@ -125,37 +125,6 @@ def _record_base(g: Graph, g6: str, spec: CliqueVector, facts) -> dict:
     }
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def ordered_map(fn, jobs: list, workers: int) -> list:
-    """fn over jobs, with the results in input order.
-
-    The pool has min(workers, jobs, usable CPUs) processes, since a process
-    pool may start all of them at the first job; below two the jobs run
-    inline.  A pool runs them in about eight chunks per process, enough to
-    balance uneven jobs while keeping the per-chunk hand-over rare.  A job
-    that raises stops the map and cancels the chunks not yet started.
-    """
-    workers = min(workers, len(jobs), _usable_cpus())
-    if workers < 2:
-        return list(map(fn, jobs))
-    # Imported here because it loads multiprocessing, which a run with one
-    # worker never uses, and that import is a large share of start-up.
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunksize = max(1, len(jobs) // (8 * workers))
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        return list(pool.map(fn, jobs, chunksize=chunksize))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _in_block(record, cfg: argparse.Namespace, line: str):
     with node_budget(cfg.budget) as ledger:
         return record(cfg, line, ledger)
@@ -190,7 +159,10 @@ def _cocritical_record(cfg: argparse.Namespace, line: str, ledger) -> tuple[str,
     g, g6 = _parse_line(line)
     spec = cfg.spec
     report = is_cocritical(g, spec)
-    facts = graph_facts(g, spec)
+    if report.is_cocritical:
+        facts = report.delta, report.chi, report.ht_bound
+    else:
+        facts = graph_facts(g, spec)
     record = _record_base(g, g6, spec, facts)
     record["verdict"] = report.is_cocritical
     record["failing_edge"] = list(report.failing_edge) if report.failing_edge else None

@@ -10,6 +10,8 @@ The counts match the published numbers of non-isomorphic simple graphs (1,
 
 from __future__ import annotations
 
+from functools import partial
+
 from .canonical import (
     CANONICAL_MAX_VERTICES,
     automorphism_generators,
@@ -18,6 +20,7 @@ from .canonical import (
 )
 from .graph6 import parse_graph6
 from .graphs import Graph, bits, degree_stats, twin_pairs, unchecked_graph
+from .parallel import ordered_map, usable_cpus
 
 
 def graphs_up_to(n: int) -> dict[int, list[Graph]]:
@@ -74,7 +77,11 @@ def graphs_up_to(n: int) -> dict[int, list[Graph]]:
 
     Each level is decoded once, when complete, from its sorted canonical
     graph6 strings, so its order is a deterministic function of the vertex
-    count alone.
+    count alone.  The children of one parent depend on no other parent (the
+    split geng's res/mod makes), so the final level, which holds most of
+    the children, is built one parent per job in parallel.ordered_map over
+    the usable CPUs; the merged forms, and so the levels, do not depend on
+    the worker count.
     """
     if not 1 <= n <= CANONICAL_MAX_VERTICES:
         raise ValueError(f"enumeration supports 1..{CANONICAL_MAX_VERTICES} vertices")
@@ -91,23 +98,41 @@ def _extend(
     """The next level, decoded from its sorted canonical forms, and with
     carry the refinement classes of each graph in it (None otherwise).
     parent_classes[i] must be refinement_classes(parents[i])."""
-    size = parents[0].n + 1
-    top = 1 << (size - 1)
+    rows = [(g.adj, classes) for g, classes in zip(parents, parent_classes)]
+    # Only the final level fans out over the CPUs: it holds most of the
+    # children, and carrying no classes its workers return only short
+    # strings.  Rows rather than Graphs go to the workers, since unpickling
+    # a Graph validates it again.
+    workers = 1 if carry else usable_cpus()
     forms: dict[str, list[int] | None] = {}
-    for g, classes in zip(parents, parent_classes):
-        for mask in _orbit_representatives(g, classes):
-            adj = list(g.adj)
-            for v in bits(mask):
-                adj[v] |= top
-            adj.append(mask)
-            child = unchecked_graph(size, tuple(adj))
-            child_classes = refinement_classes(child, watch=size - 1)
-            if child_classes is not None:
-                form = canonical_form(child, classes=child_classes)
-                forms[form] = child_classes if carry else None
+    for found in ordered_map(partial(_child_forms, carry=carry), rows, workers):
+        forms.update(found)
     order = sorted(forms)
     level = [parse_graph6(form) for form in order]
     return level, [sorted(forms[form]) for form in order] if carry else None
+
+
+def _child_forms(
+    row: tuple[tuple[int, ...], list[int]], carry: bool
+) -> dict[str, list[int] | None]:
+    """The canonical form of each child of one parent that graphs_up_to
+    keeps, with carry mapped to its refinement classes (None otherwise).
+    row is the parent's adjacency and its refinement classes."""
+    adj, classes = row
+    g = unchecked_graph(len(adj), adj)
+    size = g.n + 1
+    top = 1 << g.n
+    forms: dict[str, list[int] | None] = {}
+    for mask in _orbit_representatives(g, classes):
+        child_adj = list(adj)
+        for v in bits(mask):
+            child_adj[v] |= top
+        child_adj.append(mask)
+        child = unchecked_graph(size, tuple(child_adj))
+        child_classes = refinement_classes(child, watch=size - 1)
+        if child_classes is not None:
+            forms[canonical_form(child, classes=child_classes)] = child_classes if carry else None
+    return forms
 
 
 def _orbit_representatives(g: Graph, classes: list[int]) -> list[int]:

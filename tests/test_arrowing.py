@@ -30,7 +30,6 @@ from rck.arrowing import (
     parse_coloring,
     serialize_coloring,
 )
-from rck.cli import _usable_cpus, ordered_map
 from rck.constructions import hanson_toft
 from rck.graph6 import to_graph6
 from rck.graphs import (
@@ -43,6 +42,7 @@ from rck.graphs import (
     join,
     twin_pairs,
 )
+from rck.parallel import ordered_map, usable_cpus
 from rck.saturation import is_saturated
 
 S33 = CliqueVector((3, 3))
@@ -311,12 +311,12 @@ class TestOrderedMap:
                 pass
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
-        monkeypatch.setattr("rck.cli._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("rck.parallel.usable_cpus", lambda: cpus)
         assert ordered_map(abs, list(range(-jobs, 0)), workers) == list(range(jobs, 0, -1))
         assert sizes == ([] if started is None else [started])
 
     def test_usable_cpus_within_the_machine(self):
-        assert 1 <= _usable_cpus() <= (os.cpu_count() or 1)
+        assert 1 <= usable_cpus() <= (os.cpu_count() or 1)
 
 
 def masks(s: _Search) -> list[int]:

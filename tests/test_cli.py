@@ -192,6 +192,23 @@ class TestCocriticalCommand:
             assert [rec["verdict"] for rec in recs] == [False, False, False, True, True]
             assert recs[-1]["chi"] is None and recs[-1]["meets_ht"] is True
 
+    def test_cocritical_record_takes_chi_from_the_report(self, monkeypatch):
+        # A co-critical report already holds chi, so the record does not
+        # colour the graph a second time.
+        calls = 0
+        chromatic_number = rck.cocritical.chromatic_number
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return chromatic_number(g)
+
+        monkeypatch.setattr("rck.cocritical.chromatic_number", counting)
+        code, out = invoke(["cocritical", "--spec", "3,3", "--construct", "k6minus"])
+        assert code == EXIT_OK
+        assert records(out)[0]["chi"] == 5
+        assert calls == 1
+
     def test_target_order_does_not_matter_for_lemmas(self):
         lemmas = []
         for spec in ("3,4", "4,3"):
@@ -601,15 +618,19 @@ class TestConfig:
 class TestConsoleEntry:
     def test_import_starts_no_pool_machinery(self):
         # concurrent.futures loads multiprocessing, a large share of start-up
-        # that a run with one worker never needs.
+        # that a run with one worker never needs; rck.parallel, which the
+        # CLI and graphs_up_to share, imports it only when a pool starts.
+        src = Path(rck.__file__).resolve().parent.parent
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, rck, rck.cli; print('concurrent.futures' in sys.modules)"],
+             "import sys, rck, rck.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
             capture_output=True,
             text=True,
             check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\n"
 
     def test_import_loads_no_dataclasses(self):
         # The core types are namedtuples: dataclasses, and the inspect module

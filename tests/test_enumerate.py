@@ -1,3 +1,4 @@
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -15,6 +16,38 @@ ROOT = Path(__file__).resolve().parents[1]
 CORPUS8 = ROOT / "perfbench" / "data" / "graphs8.g6"
 # Non-isomorphic simple graphs on n vertices (OEIS A000088).
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+
+
+def pin_cpus(monkeypatch, cpus):
+    # graphs_up_to asks for every usable CPU, and ordered_map caps its pool
+    # at them.
+    monkeypatch.setattr("rck.parallel.usable_cpus", lambda: cpus)
+    monkeypatch.setattr("rck.enumerate_graphs.usable_cpus", lambda: cpus)
+
+
+@pytest.fixture
+def pickling_pool(monkeypatch):
+    """A stub executor that records the size of each pool asked for and maps
+    inline, after a pickle round trip of the function, every job and every
+    result, as a process pool makes.  Returns the recorded sizes."""
+    sizes = []
+
+    def round_trip(x):
+        return pickle.loads(pickle.dumps(x))
+
+    class Pickling:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, jobs, chunksize):
+            fn = round_trip(fn)
+            return [round_trip(fn(round_trip(job))) for job in jobs]
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pickling)
+    return sizes
 
 
 def test_counts_match_published_values_small():
@@ -126,6 +159,9 @@ def test_augmentation_canonicalises_only_minimum_degree_extensions(monkeypatch):
         return canonical_form(g, classes=classes)
 
     monkeypatch.setattr("rck.enumerate_graphs.canonical_form", counting)
+    # Pool workers would make the final level's calls out of the counter's
+    # sight.
+    pin_cpus(monkeypatch, 1)
     graphs_up_to(7)
     assert calls == 1253
 
@@ -160,6 +196,46 @@ def test_only_the_seed_graph_is_validated(monkeypatch):
     levels = graphs_up_to(6)
     assert calls == 1
     assert [len(levels[n]) for n in range(1, 7)] == [KNOWN_COUNTS[n] for n in range(1, 7)]
+
+
+def test_levels_do_not_depend_on_the_worker_count(monkeypatch):
+    runs = {}
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        runs[cpus] = [graphs_up_to(n) for n in range(1, 9)]
+    assert runs[1] == runs[2]
+
+
+def test_only_the_final_level_asks_for_a_pool(monkeypatch, pickling_pool):
+    # One pool per call, of min(CPUs, parents) processes, for the level
+    # that carries no classes; the stub's pickling also shows that jobs and
+    # results cross a process boundary intact.
+    cpus = 4
+    pin_cpus(monkeypatch, cpus)
+    for n in range(1, 9):
+        pickling_pool.clear()
+        levels = graphs_up_to(n)
+        assert [len(levels[m]) for m in range(1, n + 1)] == [KNOWN_COUNTS[m] for m in range(1, n + 1)]
+        parents = KNOWN_COUNTS.get(n - 1, 0)
+        assert pickling_pool == ([min(cpus, parents)] if parents >= 2 else [])
+
+
+def test_pool_jobs_ship_no_graphs(monkeypatch, pickling_pool):
+    # Unpickling a Graph validates it, so a job that shipped one would add
+    # to the seed's one check.
+    calls = 0
+    check = Graph._validate
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        check(self)
+
+    monkeypatch.setattr(Graph, "_validate", counting)
+    pin_cpus(monkeypatch, 2)
+    graphs_up_to(6)
+    assert pickling_pool == [2]
+    assert calls == 1
 
 
 def test_representatives_match_the_mask_scan_and_orbit_closure(corpus):
